@@ -1,69 +1,127 @@
 //! Expression evaluation with MySQL semantics.
+//!
+//! Rows are borrowed, never copied: a [`Row`] holds one slice of table
+//! storage per FROM/JOIN source, and expressions evaluate to
+//! [`Cow<Value>`] that borrows a column's or literal's value until a
+//! caller needs it owned (an output row, an assignment). Column
+//! references resolve to a [`Slot`] once per statement execution, not
+//! once per row.
 
 use crate::engine::{Database, DbError, SideEffects};
+use crate::table::Table;
 use joza_sqlparse::ast::*;
 use joza_sqlparse::Value;
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::HashSet;
 
-/// One logical row: `(qualifier, column, value)` bindings. Qualifier and
-/// column are stored lowercased for case-insensitive resolution.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Env {
-    pub entries: Vec<(Option<String>, String, Value)>,
+/// The value a LEFT JOIN's null extension reads for every column.
+static NULL: Value = Value::Null;
+/// What `COUNT(*)` counts per row.
+static ONE: Value = Value::Int(1);
+
+/// One joined row: a borrowed table row per source of the [`Scope`], in
+/// scope order, `None` where a LEFT JOIN extended the row with NULLs. A
+/// JOIN ON predicate sees the prefix joined so far. `'a` is the lifetime
+/// of the database and the statement, `'c` that of the row buffer.
+pub(crate) type Row<'c, 'a> = &'c [Option<&'a [Value]>];
+
+/// One FROM/JOIN entry (or the target table of UPDATE/DELETE).
+pub(crate) struct Source<'a> {
+    /// The name column references qualify it by: the alias if any, else
+    /// the table name, matched case-insensitively.
+    pub qualifier: &'a str,
+    /// The table the entry reads.
+    pub table: &'a Table,
 }
 
-impl Env {
-    pub fn push(&mut self, qualifier: Option<&str>, name: &str, value: Value) {
-        self.entries.push((
-            qualifier.map(|q| q.to_ascii_lowercase()),
-            name.to_ascii_lowercase(),
-            value,
-        ));
+/// Where a column reference resolves: the source and the column within
+/// its table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot {
+    source: usize,
+    column: usize,
+}
+
+/// The sources a statement body reads, with each column reference
+/// resolved to a [`Slot`] on first use. Resolutions are keyed by the
+/// reference's address: the statement is borrowed while the scope lives,
+/// so distinct references never share one.
+pub(crate) struct Scope<'a> {
+    sources: Vec<Source<'a>>,
+    resolved: RefCell<Vec<(*const ColumnRef, Option<Slot>)>>,
+}
+
+impl<'a> Scope<'a> {
+    pub fn new(sources: Vec<Source<'a>>) -> Self {
+        Scope { sources, resolved: RefCell::new(Vec::new()) }
     }
 
-    pub fn lookup(&self, table: Option<&str>, name: &str) -> Option<&Value> {
-        let name = name.to_ascii_lowercase();
-        let table = table.map(|t| t.to_ascii_lowercase());
-        self.entries
-            .iter()
-            .find(|(q, n, _)| {
-                *n == name
-                    && match (&table, q) {
-                        (None, _) => true,
-                        (Some(t), Some(q)) => t == q,
-                        (Some(_), None) => false,
-                    }
-            })
-            .map(|(_, _, v)| v)
+    pub fn sources(&self) -> &[Source<'a>] {
+        &self.sources
+    }
+
+    /// The first source, in scope order, that the reference's qualifier
+    /// names (any, when unqualified) and that has the column.
+    fn slot(&self, c: &ColumnRef) -> Option<Slot> {
+        let key: *const ColumnRef = c;
+        if let Some(&(_, slot)) = self.resolved.borrow().iter().find(|(k, _)| *k == key) {
+            return slot;
+        }
+        let slot = self.sources.iter().enumerate().find_map(|(source, s)| {
+            if c.table.as_deref().is_some_and(|q| !q.eq_ignore_ascii_case(s.qualifier)) {
+                return None;
+            }
+            s.table.column_index(&c.name).map(|column| Slot { source, column })
+        });
+        self.resolved.borrow_mut().push((key, slot));
+        slot
+    }
+
+    /// The values of a row in projection order: every column of every
+    /// source `keep` accepts, NULLs for a null-extended source.
+    pub fn row_values(
+        &self,
+        row: Row<'_, 'a>,
+        keep: impl Fn(&Source<'a>) -> bool,
+        out: &mut Vec<Value>,
+    ) {
+        for (source, part) in self.sources.iter().zip(row) {
+            if keep(source) {
+                match part {
+                    Some(values) => out.extend(values.iter().cloned()),
+                    None => out.extend((0..source.table.columns().len()).map(|_| Value::Null)),
+                }
+            }
+        }
     }
 }
 
 /// Evaluation context. `outer` chains to the enclosing query's context for
 /// correlated subqueries.
 #[derive(Clone, Copy)]
-pub(crate) struct Ctx<'a> {
+pub(crate) struct Ctx<'c, 'a> {
     pub db: &'a Database,
-    pub env: Option<&'a Env>,
-    pub group: Option<&'a [Env]>,
-    pub outer: Option<&'a Ctx<'a>>,
+    pub scope: &'c Scope<'a>,
+    /// The current row; `None` outside any row (LIMIT, an aggregate over
+    /// no rows), where only `outer` can resolve columns.
+    pub row: Option<Row<'c, 'a>>,
+    /// The current group's rows, which aggregates range over.
+    pub group: Option<&'c [Row<'c, 'a>]>,
+    pub outer: Option<&'c Ctx<'c, 'a>>,
 }
 
-impl<'a> Ctx<'a> {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Option<Value> {
-        if let Some(env) = self.env {
-            if let Some(v) = env.lookup(table, name) {
-                return Some(v.clone());
+impl<'a> Ctx<'_, 'a> {
+    /// The column's value in the current row, else in the enclosing
+    /// queries' rows, innermost first.
+    fn column(&self, c: &ColumnRef) -> Option<&'a Value> {
+        if let (Some(row), Some(slot)) = (self.row, self.scope.slot(c)) {
+            // A slot past the row is a source a JOIN has not reached yet.
+            if let Some(part) = row.get(slot.source) {
+                return Some(part.map_or(&NULL, |values| &values[slot.column]));
             }
         }
-        // Group context: resolve against the first row of the group (MySQL
-        // permissive non-aggregated column semantics).
-        if let Some(group) = self.group {
-            if let Some(first) = group.first() {
-                if let Some(v) = first.lookup(table, name) {
-                    return Some(v.clone());
-                }
-            }
-        }
-        self.outer.and_then(|o| o.resolve(table, name))
+        self.outer.and_then(|o| o.column(c))
     }
 }
 
@@ -94,16 +152,25 @@ pub(crate) fn contains_aggregate(e: &Expr) -> bool {
     }
 }
 
-pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Value, DbError> {
-    match e {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Wildcard => Ok(Value::Int(1)),
-        Expr::Column(c) => ctx
-            .resolve(c.table.as_deref(), &c.name)
-            .ok_or_else(|| DbError::UnknownColumn(c.to_string())),
+/// Evaluates `e`, borrowing the value when it is a stored column or a
+/// literal.
+pub(crate) fn eval<'a>(
+    ctx: Ctx<'_, 'a>,
+    side: &mut SideEffects,
+    e: &'a Expr,
+) -> Result<Cow<'a, Value>, DbError> {
+    let v = match e {
+        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Expr::Wildcard => return Ok(Cow::Borrowed(&ONE)),
+        Expr::Column(c) => {
+            return ctx
+                .column(c)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| DbError::UnknownColumn(c.to_string()))
+        }
         Expr::Unary { op, expr } => {
             let v = eval(ctx, side, expr)?;
-            Ok(match op {
+            match op {
                 UnaryOp::Not => {
                     if v.is_null() {
                         Value::Null
@@ -111,18 +178,18 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
                         Value::from(!v.is_truthy())
                     }
                 }
-                UnaryOp::Neg => match v {
+                UnaryOp::Neg => match *v {
                     Value::Int(i) => Value::Int(-i),
                     Value::Null => Value::Null,
-                    other => Value::Float(-other.as_f64()),
+                    ref other => Value::Float(-other.as_f64()),
                 },
-                UnaryOp::Plus => v,
-            })
+                UnaryOp::Plus => return Ok(v),
+            }
         }
-        Expr::Binary { left, op, right } => eval_binary(ctx, side, left, *op, right),
+        Expr::Binary { left, op, right } => eval_binary(ctx, side, left, *op, right)?,
         Expr::Function { name, args, distinct } => {
             if AGGREGATES.contains(&name.as_str()) {
-                return eval_aggregate(ctx, side, name, args, *distinct);
+                return eval_aggregate(ctx, side, name, args, *distinct).map(Cow::Owned);
             }
             // IF / IFNULL / COALESCE evaluate lazily: `IF(c, SLEEP(5), 0)`
             // must only sleep when the condition holds — that laziness *is*
@@ -143,7 +210,7 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
                             return Ok(v);
                         }
                     }
-                    return Ok(Value::Null);
+                    return Ok(Cow::Borrowed(&NULL));
                 }
                 _ => {}
             }
@@ -151,11 +218,11 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
             for a in args {
                 vals.push(eval(ctx, side, a)?);
             }
-            eval_function(side, name, &vals)
+            eval_function(side, name, &vals)?
         }
         Expr::IsNull { expr, negated } => {
             let v = eval(ctx, side, expr)?;
-            Ok(Value::from(v.is_null() != *negated))
+            Value::from(v.is_null() != *negated)
         }
         Expr::InList { expr, list, negated } => {
             let v = eval(ctx, side, expr)?;
@@ -167,14 +234,14 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
                     break;
                 }
             }
-            Ok(Value::from(found != *negated))
+            Value::from(found != *negated)
         }
         Expr::InSubquery { expr, subquery, negated } => {
             let v = eval(ctx, side, expr)?;
             let (_, rows) = crate::exec::run_select_with_outer(ctx.db, subquery, side, Some(&ctx))?;
             let found =
                 rows.iter().any(|r| r.first().is_some_and(|cell| v.sql_eq(cell) == Some(true)));
-            Ok(Value::from(found != *negated))
+            Value::from(found != *negated)
         }
         Expr::Between { expr, low, high, negated } => {
             let v = eval(ctx, side, expr)?;
@@ -185,21 +252,21 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
                 (Some(a), Some(b))
                     if a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater
             );
-            Ok(Value::from(inside != *negated))
+            Value::from(inside != *negated)
         }
         Expr::Like { expr, pattern, negated } => {
             let v = eval(ctx, side, expr)?;
             let p = eval(ctx, side, pattern)?;
-            let hit = like_match(&v.as_str(), &p.as_str());
-            Ok(Value::from(hit != *negated))
+            let hit = like_match(&text(&v), &text(&p));
+            Value::from(hit != *negated)
         }
         Expr::Subquery(sub) => {
             let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
-            Ok(rows.first().and_then(|r| r.first().cloned()).unwrap_or(Value::Null))
+            rows.into_iter().next().and_then(|r| r.into_iter().next()).unwrap_or(Value::Null)
         }
         Expr::Exists(sub) => {
             let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
-            Ok(Value::from(!rows.is_empty()))
+            Value::from(!rows.is_empty())
         }
         Expr::Case { operand, branches, else_arm } => {
             let op_val = operand.as_deref().map(|o| eval(ctx, side, o)).transpose()?;
@@ -213,25 +280,34 @@ pub(crate) fn eval(ctx: Ctx<'_>, side: &mut SideEffects, e: &Expr) -> Result<Val
                     return eval(ctx, side, then);
                 }
             }
-            match else_arm {
+            return match else_arm {
                 Some(e) => eval(ctx, side, e),
-                None => Ok(Value::Null),
-            }
+                None => Ok(Cow::Borrowed(&NULL)),
+            };
         }
-        Expr::Placeholder(_) => Ok(Value::Null),
-        Expr::Variable(name) => Ok(match name.to_ascii_lowercase().as_str() {
+        Expr::Placeholder(_) => Value::Null,
+        Expr::Variable(name) => match name.to_ascii_lowercase().as_str() {
             "@@version" => Value::Str(mysql_version()),
             _ => Value::Null,
-        }),
+        },
+    };
+    Ok(Cow::Owned(v))
+}
+
+/// A value's string rendering, borrowed when it already is a string.
+fn text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.as_str()),
     }
 }
 
-fn eval_binary(
-    ctx: Ctx<'_>,
+fn eval_binary<'a>(
+    ctx: Ctx<'_, 'a>,
     side: &mut SideEffects,
-    left: &Expr,
+    left: &'a Expr,
     op: BinaryOp,
-    right: &Expr,
+    right: &'a Expr,
 ) -> Result<Value, DbError> {
     // Short-circuit logicals (important: `0 AND SLEEP(5)` must not sleep).
     match op {
@@ -265,6 +341,7 @@ fn eval_binary(
     }
     let l = eval(ctx, side, left)?;
     let r = eval(ctx, side, right)?;
+    let (l, r) = (&*l, &*r);
     Ok(match op {
         BinaryOp::Xor => {
             if l.is_null() || r.is_null() {
@@ -273,19 +350,19 @@ fn eval_binary(
                 Value::from(l.is_truthy() != r.is_truthy())
             }
         }
-        BinaryOp::Eq => tri(l.sql_eq(&r)),
-        BinaryOp::NotEq => tri(l.sql_eq(&r).map(|b| !b)),
-        BinaryOp::Lt => tri(l.compare(&r).map(|o| o == std::cmp::Ordering::Less)),
-        BinaryOp::LtEq => tri(l.compare(&r).map(|o| o != std::cmp::Ordering::Greater)),
-        BinaryOp::Gt => tri(l.compare(&r).map(|o| o == std::cmp::Ordering::Greater)),
-        BinaryOp::GtEq => tri(l.compare(&r).map(|o| o != std::cmp::Ordering::Less)),
+        BinaryOp::Eq => tri(l.sql_eq(r)),
+        BinaryOp::NotEq => tri(l.sql_eq(r).map(|b| !b)),
+        BinaryOp::Lt => tri(l.compare(r).map(|o| o == std::cmp::Ordering::Less)),
+        BinaryOp::LtEq => tri(l.compare(r).map(|o| o != std::cmp::Ordering::Greater)),
+        BinaryOp::Gt => tri(l.compare(r).map(|o| o == std::cmp::Ordering::Greater)),
+        BinaryOp::GtEq => tri(l.compare(r).map(|o| o != std::cmp::Ordering::Less)),
         BinaryOp::Regexp => {
             // Substring semantics: enough for the testbed payloads.
             Value::from(l.as_str().to_ascii_lowercase().contains(&r.as_str().to_ascii_lowercase()))
         }
-        BinaryOp::Add => arith(&l, &r, |a, b| a + b),
-        BinaryOp::Sub => arith(&l, &r, |a, b| a - b),
-        BinaryOp::Mul => arith(&l, &r, |a, b| a * b),
+        BinaryOp::Add => arith(l, r, |a, b| a + b),
+        BinaryOp::Sub => arith(l, r, |a, b| a - b),
+        BinaryOp::Mul => arith(l, r, |a, b| a * b),
         BinaryOp::Div => {
             if l.is_null() || r.is_null() || r.as_f64() == 0.0 {
                 Value::Null
@@ -341,47 +418,39 @@ pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
                 false
             }
             Some(b'_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => !s.is_empty() && s[0] == c && rec(&s[1..], &p[1..]),
+            Some(&c) => !s.is_empty() && s[0].eq_ignore_ascii_case(&c) && rec(&s[1..], &p[1..]),
         }
     }
-    rec(s.to_ascii_lowercase().as_bytes(), pattern.to_ascii_lowercase().as_bytes())
+    rec(s.as_bytes(), pattern.as_bytes())
 }
 
 fn mysql_version() -> String {
     "5.6.27-joza-sim".to_string()
 }
 
-fn eval_aggregate(
-    ctx: Ctx<'_>,
+fn eval_aggregate<'a>(
+    ctx: Ctx<'_, 'a>,
     side: &mut SideEffects,
     name: &str,
-    args: &[Expr],
+    args: &'a [Expr],
     distinct: bool,
 ) -> Result<Value, DbError> {
-    let group: &[Env] = ctx.group.unwrap_or(&[]);
+    let group = ctx.group.unwrap_or(&[]);
     // Evaluate the argument once per group row.
-    let mut values: Vec<Value> = Vec::with_capacity(group.len());
-    for row in group {
-        let row_ctx = Ctx { db: ctx.db, env: Some(row), group: None, outer: ctx.outer };
+    let mut values = Vec::with_capacity(group.len());
+    for &row in group {
+        let row_ctx = Ctx { row: Some(row), group: None, ..ctx };
         let v = match args.first() {
-            Some(Expr::Wildcard) | None => Value::Int(1),
+            Some(Expr::Wildcard) | None => Cow::Borrowed(&ONE),
             Some(a) => eval(row_ctx, side, a)?,
         };
         values.push(v);
     }
     if distinct {
-        let mut seen: Vec<String> = Vec::new();
-        values.retain(|v| {
-            let k = format!("{v:?}");
-            if seen.contains(&k) {
-                false
-            } else {
-                seen.push(k);
-                true
-            }
-        });
+        let mut seen = HashSet::new();
+        values.retain(|v| seen.insert(format!("{:?}", **v)));
     }
-    let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
+    let non_null: Vec<&Value> = values.iter().map(|v| &**v).filter(|v| !v.is_null()).collect();
     Ok(match name {
         "COUNT" => {
             if matches!(args.first(), Some(Expr::Wildcard) | None) {
@@ -406,32 +475,8 @@ fn eval_aggregate(
                 )
             }
         }
-        "MIN" => non_null
-            .iter()
-            .fold(None::<Value>, |acc, v| match acc {
-                None => Some((*v).clone()),
-                Some(a) => {
-                    if v.compare(&a) == Some(std::cmp::Ordering::Less) {
-                        Some((*v).clone())
-                    } else {
-                        Some(a)
-                    }
-                }
-            })
-            .unwrap_or(Value::Null),
-        "MAX" => non_null
-            .iter()
-            .fold(None::<Value>, |acc, v| match acc {
-                None => Some((*v).clone()),
-                Some(a) => {
-                    if v.compare(&a) == Some(std::cmp::Ordering::Greater) {
-                        Some((*v).clone())
-                    } else {
-                        Some(a)
-                    }
-                }
-            })
-            .unwrap_or(Value::Null),
+        "MIN" => extreme(&non_null, std::cmp::Ordering::Less),
+        "MAX" => extreme(&non_null, std::cmp::Ordering::Greater),
         "GROUP_CONCAT" => {
             if non_null.is_empty() {
                 Value::Null
@@ -443,24 +488,41 @@ fn eval_aggregate(
     })
 }
 
-fn eval_function(side: &mut SideEffects, name: &str, args: &[Value]) -> Result<Value, DbError> {
-    let a = |i: usize| -> Value { args.get(i).cloned().unwrap_or(Value::Null) };
+/// MIN (`wins` = Less) or MAX (Greater): the first value no later one
+/// beats; NULL over no values.
+fn extreme(values: &[&Value], wins: std::cmp::Ordering) -> Value {
+    let mut best: Option<&Value> = None;
+    for &v in values {
+        if best.is_none_or(|b| v.compare(b) == Some(wins)) {
+            best = Some(v);
+        }
+    }
+    best.cloned().unwrap_or(Value::Null)
+}
+
+fn eval_function(
+    side: &mut SideEffects,
+    name: &str,
+    args: &[Cow<'_, Value>],
+) -> Result<Value, DbError> {
+    let a = |i: usize| -> &Value { args.get(i).map_or(&NULL, |v| &**v) };
     let s = |i: usize| -> String { a(i).as_str() };
     Ok(match name {
         "CONCAT" => {
-            if args.iter().any(Value::is_null) {
+            if args.iter().any(|v| v.is_null()) {
                 Value::Null
             } else {
-                Value::Str(args.iter().map(Value::as_str).collect())
+                Value::Str(args.iter().map(|v| v.as_str()).collect())
             }
         }
         "CONCAT_WS" => {
             let sep = s(0);
             Value::Str(
-                args[1..]
+                args.get(1..)
+                    .unwrap_or_default()
                     .iter()
                     .filter(|v| !v.is_null())
-                    .map(Value::as_str)
+                    .map(|v| v.as_str())
                     .collect::<Vec<_>>()
                     .join(&sep),
             )
@@ -528,19 +590,19 @@ fn eval_function(side: &mut SideEffects, name: &str, args: &[Value]) -> Result<V
         "MD5" => Value::Str(pseudo_md5(&s(0))),
         "IF" => {
             if a(0).is_truthy() {
-                a(1)
+                a(1).clone()
             } else {
-                a(2)
+                a(2).clone()
             }
         }
         "IFNULL" => {
             if a(0).is_null() {
-                a(1)
+                a(1).clone()
             } else {
-                a(0)
+                a(0).clone()
             }
         }
-        "COALESCE" => args.iter().find(|v| !v.is_null()).cloned().unwrap_or(Value::Null),
+        "COALESCE" => args.iter().find(|v| !v.is_null()).map_or(Value::Null, |v| (**v).clone()),
         "VERSION" => Value::Str(mysql_version()),
         "USER" | "CURRENT_USER" | "USERNAME" | "SYSTEM_USER" | "SESSION_USER" => {
             Value::Str("wpuser@localhost".to_string())
@@ -575,7 +637,7 @@ fn eval_function(side: &mut SideEffects, name: &str, args: &[Value]) -> Result<V
             side.sleep_ms += iters / 4000;
             Value::Int(0)
         }
-        "CAST" | "CONVERT" => a(0),
+        "CAST" | "CONVERT" => a(0).clone(),
         "EXTRACTVALUE" | "UPDATEXML" => {
             // MySQL raises `XPATH syntax error` embedding (a prefix of) the
             // evaluated XPath argument — the error-based exfiltration channel.
@@ -644,6 +706,29 @@ mod tests {
     use super::*;
 
     #[test]
+    fn slots_resolve_to_the_first_matching_source() {
+        let users = Table::new("users", &["ID", "name"]);
+        let posts = Table::new("posts", &["id", "title"]);
+        let scope = Scope::new(vec![
+            Source { qualifier: "u", table: &users },
+            Source { qualifier: "P", table: &posts },
+        ]);
+        let col = |table: Option<&str>, name: &str| ColumnRef {
+            table: table.map(str::to_string),
+            name: name.to_string(),
+        };
+        let (id, p_id, title, x_id) =
+            (col(None, "id"), col(Some("p"), "ID"), col(None, "TITLE"), col(Some("x"), "id"));
+        assert_eq!(scope.slot(&id), Some(Slot { source: 0, column: 0 })); // first wins
+        assert_eq!(scope.slot(&p_id), Some(Slot { source: 1, column: 0 }));
+        assert_eq!(scope.slot(&title), Some(Slot { source: 1, column: 1 }));
+        assert_eq!(scope.slot(&x_id), None);
+        // Memoized: a second lookup answers the same.
+        assert_eq!(scope.slot(&p_id), Some(Slot { source: 1, column: 0 }));
+        assert_eq!(scope.resolved.borrow().len(), 4);
+    }
+
+    #[test]
     fn like_patterns() {
         assert!(like_match("hello world", "%world"));
         assert!(like_match("hello world", "hello%"));
@@ -653,6 +738,13 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("abc", "%b%"));
+    }
+
+    #[test]
+    fn concat_ws_without_arguments_is_empty() {
+        let mut side = SideEffects::default();
+        let v = eval_function(&mut side, "CONCAT_WS", &[]).unwrap();
+        assert_eq!(v, Value::Str(String::new()));
     }
 
     #[test]
@@ -669,15 +761,5 @@ mod tests {
         assert_eq!(pad_to("hi", 5, "?", true), "???hi");
         assert_eq!(pad_to("hi", 5, "ab", false), "hiaba");
         assert_eq!(pad_to("hello", 3, "?", true), "hel");
-    }
-
-    #[test]
-    fn env_lookup_qualifiers() {
-        let mut env = Env::default();
-        env.push(Some("u"), "ID", Value::Int(1));
-        env.push(Some("p"), "id", Value::Int(2));
-        assert_eq!(env.lookup(None, "id"), Some(&Value::Int(1))); // first wins
-        assert_eq!(env.lookup(Some("p"), "ID"), Some(&Value::Int(2)));
-        assert_eq!(env.lookup(Some("x"), "id"), None);
     }
 }

@@ -1,9 +1,45 @@
 //! Statement executors: SELECT pipeline plus INSERT/UPDATE/DELETE.
+//!
+//! Every pass reads rows borrowed from table storage ([`Rows`], see
+//! [`crate::eval`]); values are cloned only into output rows and
+//! assignments.
 
 use crate::engine::{Database, DbError, SideEffects};
-use crate::eval::{contains_aggregate, eval, Ctx, Env};
+use crate::eval::{contains_aggregate, eval, Ctx, Row, Scope, Source};
+use crate::table::Table;
 use joza_sqlparse::ast::*;
 use joza_sqlparse::Value;
+use std::borrow::Cow;
+use std::collections::HashSet;
+
+/// Joined rows, flattened: row `i` is `cells[i * width..(i + 1) * width]`,
+/// one borrowed table row per scope source (see [`Row`]).
+struct Rows<'a> {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<&'a [Value]>>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(width: usize) -> Self {
+        Rows { width, len: 0, cells: Vec::new() }
+    }
+
+    /// Every row of `table`, as a one-source scan.
+    fn scan(table: &'a Table) -> Self {
+        let cells: Vec<_> = table.rows().iter().map(|r| Some(r.as_slice())).collect();
+        Rows { width: 1, len: cells.len(), cells }
+    }
+
+    fn push(&mut self, row: Row<'_, 'a>) {
+        self.cells.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Row<'_, 'a>> {
+        (0..self.len).map(|i| &self.cells[i * self.width..(i + 1) * self.width])
+    }
+}
 
 /// Runs a SELECT (with any UNION continuations) and returns
 /// `(column names, rows)`.
@@ -15,11 +51,11 @@ pub(crate) fn run_select(
     run_select_with_outer(db, sel, side, None)
 }
 
-pub(crate) fn run_select_with_outer(
-    db: &Database,
-    sel: &SelectStatement,
+pub(crate) fn run_select_with_outer<'a>(
+    db: &'a Database,
+    sel: &'a SelectStatement,
     side: &mut SideEffects,
-    outer: Option<&Ctx<'_>>,
+    outer: Option<&Ctx<'_, 'a>>,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
     let (columns, mut rows) = run_select_body(db, sel, side, outer)?;
     for (op, arm) in &sel.set_ops {
@@ -30,7 +66,7 @@ pub(crate) fn run_select_with_outer(
         }
         rows.extend(arm_rows);
         if *op == SetOp::Union {
-            dedup_rows(&mut rows);
+            dedup(&mut rows, |r| r);
         }
     }
     Ok((columns, rows))
@@ -44,44 +80,58 @@ fn count_projection_width(sel: &SelectStatement) -> usize {
     sel.projections.len()
 }
 
-fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
-    let mut seen: Vec<String> = Vec::new();
-    rows.retain(|r| {
-        let key = format!("{r:?}");
-        if seen.contains(&key) {
-            false
-        } else {
-            seen.push(key);
-            true
-        }
-    });
+/// Keeps the first of the items whose rows render to the same `Debug`
+/// text (UNION, DISTINCT).
+fn dedup<T>(items: &mut Vec<T>, row: impl Fn(&T) -> &Vec<Value>) {
+    let mut seen = HashSet::new();
+    items.retain(|item| seen.insert(format!("{:?}", row(item))));
 }
 
-fn run_select_body(
-    db: &Database,
-    sel: &SelectStatement,
+fn run_select_body<'a>(
+    db: &'a Database,
+    sel: &'a SelectStatement,
     side: &mut SideEffects,
-    outer: Option<&Ctx<'_>>,
+    outer: Option<&Ctx<'_, 'a>>,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>), DbError> {
-    // 1. FROM / JOIN: build the row environments.
-    let mut envs: Vec<Env> = match &sel.from {
-        None => vec![Env::default()],
-        Some(table) => load_table(db, table)?,
+    // 1. FROM / JOIN: the scope, then the joined rows. The scope stops at
+    // the first unknown table, which fails when the pipeline reaches it.
+    let table_refs: Vec<&TableRef> =
+        sel.from.iter().chain(sel.joins.iter().map(|j| &j.table)).collect();
+    let scope = Scope::new(
+        table_refs
+            .iter()
+            .map_while(|t| {
+                let table = db.table(&t.name)?;
+                Some(Source { qualifier: t.alias.as_deref().unwrap_or(&t.name), table })
+            })
+            .collect(),
+    );
+    let source = |i: usize| {
+        scope
+            .sources()
+            .get(i)
+            .map(|s| s.table)
+            .ok_or_else(|| DbError::UnknownTable(table_refs[i].name.clone()))
     };
-    for join in &sel.joins {
-        envs = apply_join(db, envs, join, side, outer)?;
+    let mut rows = match &sel.from {
+        // `SELECT 1`: one row with no sources.
+        None => Rows { width: 0, len: 1, cells: Vec::new() },
+        Some(_) => Rows::scan(source(0)?),
+    };
+    for (i, join) in sel.joins.iter().enumerate() {
+        rows = join_rows(db, &scope, &rows, source(i + 1)?, join, side, outer)?;
     }
 
     // 2. WHERE.
     if let Some(pred) = &sel.where_clause {
-        let mut kept = Vec::with_capacity(envs.len());
-        for env in envs {
-            let ctx = Ctx { db, env: Some(&env), group: None, outer };
+        let mut kept = Rows::new(rows.width);
+        for row in rows.iter() {
+            let ctx = Ctx { db, scope: &scope, row: Some(row), group: None, outer };
             if eval(ctx, side, pred)?.is_truthy() {
-                kept.push(env);
+                kept.push(row);
             }
         }
-        envs = kept;
+        rows = kept;
     }
 
     // 3. Aggregation decision.
@@ -92,72 +142,67 @@ fn run_select_body(
         })
         || sel.having.as_ref().is_some_and(contains_aggregate);
 
-    let mut out_columns: Vec<String> = Vec::new();
     // Each produced row carries its ORDER BY keys.
-    let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-
+    let mut produced: Vec<(Vec<Value>, Vec<Cow<'a, Value>>)> = Vec::new();
     if aggregated {
         // Group rows by GROUP BY key.
-        let mut groups: Vec<(Vec<Value>, Vec<Env>)> = Vec::new();
-        for env in envs {
-            let ctx = Ctx { db, env: Some(&env), group: None, outer };
-            let mut key = Vec::with_capacity(sel.group_by.len());
+        let mut groups: Vec<(Vec<Cow<'a, Value>>, Vec<Row<'_, 'a>>)> = Vec::new();
+        let mut key = Vec::new();
+        for row in rows.iter() {
+            let ctx = Ctx { db, scope: &scope, row: Some(row), group: None, outer };
             for g in &sel.group_by {
                 key.push(eval(ctx, side, g)?);
             }
             match groups.iter_mut().find(|(k, _)| values_eq(k, &key)) {
-                Some((_, members)) => members.push(env),
-                None => groups.push((key, vec![env])),
+                Some((_, members)) => {
+                    members.push(row);
+                    key.clear();
+                }
+                None => groups.push((std::mem::take(&mut key), vec![row])),
             }
         }
         if groups.is_empty() && sel.group_by.is_empty() {
             groups.push((Vec::new(), Vec::new())); // aggregate over empty set
         }
         for (_, members) in &groups {
-            let ctx = Ctx { db, env: members.first(), group: Some(members), outer };
+            let ctx = Ctx {
+                db,
+                scope: &scope,
+                row: members.first().copied(),
+                group: Some(members),
+                outer,
+            };
             if let Some(h) = &sel.having {
                 if !eval(ctx, side, h)?.is_truthy() {
                     continue;
                 }
             }
-            let (cols, row) = project(ctx, side, sel, members.first())?;
-            if out_columns.is_empty() {
-                out_columns = cols;
-            }
-            let keys = order_keys(ctx, side, sel)?;
-            produced.push((row, keys));
+            produced.push((project(ctx, side, sel)?, order_keys(ctx, side, sel)?));
         }
     } else {
-        for env in &envs {
-            let ctx = Ctx { db, env: Some(env), group: None, outer };
-            let (cols, row) = project(ctx, side, sel, Some(env))?;
-            if out_columns.is_empty() {
-                out_columns = cols;
-            }
-            let keys = order_keys(ctx, side, sel)?;
-            produced.push((row, keys));
-        }
-        if produced.is_empty() {
-            // Determine column names for an empty result from the schema.
-            let ctx = Ctx { db, env: None, group: None, outer };
-            if let Ok((cols, _)) = project_names_only(ctx, sel, &envs) {
-                out_columns = cols;
-            }
+        for row in rows.iter() {
+            let ctx = Ctx { db, scope: &scope, row: Some(row), group: None, outer };
+            produced.push((project(ctx, side, sel)?, order_keys(ctx, side, sel)?));
         }
     }
+    // Column names come from the scope, so one computation serves every
+    // row; an empty plain result names its wildcards `*`.
+    let out_columns = if !produced.is_empty() {
+        projection_names(sel, |p| match p {
+            Projection::QualifiedWildcard(q) => {
+                wildcard_names(&scope, |s| s.qualifier.eq_ignore_ascii_case(q))
+            }
+            _ => wildcard_names(&scope, |_| true),
+        })
+    } else if aggregated {
+        Vec::new()
+    } else {
+        projection_names(sel, |_| vec!["*".to_string()])
+    };
 
     // 4. DISTINCT.
     if sel.distinct {
-        let mut seen: Vec<String> = Vec::new();
-        produced.retain(|(r, _)| {
-            let key = format!("{r:?}");
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
+        dedup(&mut produced, |(r, _)| r);
     }
 
     // 5. ORDER BY.
@@ -178,7 +223,7 @@ fn run_select_body(
     // 6. LIMIT / OFFSET.
     let mut rows: Vec<Vec<Value>> = produced.into_iter().map(|(r, _)| r).collect();
     if let Some(limit) = &sel.limit {
-        let ctx = Ctx { db, env: None, group: None, outer };
+        let ctx = Ctx { db, scope: &scope, row: None, group: None, outer };
         let count = eval(ctx, side, &limit.count)?.as_i64().max(0) as usize;
         let offset = match &limit.offset {
             Some(o) => eval(ctx, side, o)?.as_i64().max(0) as usize,
@@ -190,127 +235,108 @@ fn run_select_body(
     Ok((out_columns, rows))
 }
 
-fn values_eq(a: &[Value], b: &[Value]) -> bool {
+fn values_eq(a: &[Cow<'_, Value>], b: &[Cow<'_, Value>]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| x.sql_eq(y).unwrap_or(x.is_null() && y.is_null()))
 }
 
-fn load_table(db: &Database, table: &TableRef) -> Result<Vec<Env>, DbError> {
-    let t = db.table(&table.name).ok_or_else(|| DbError::UnknownTable(table.name.clone()))?;
-    let qualifier = table.alias.as_deref().unwrap_or(&table.name);
-    Ok(t.rows()
-        .iter()
-        .map(|row| {
-            let mut env = Env::default();
-            for (col, val) in t.columns().iter().zip(row) {
-                env.push(Some(qualifier), col, val.clone());
-            }
-            env
-        })
-        .collect())
-}
-
-fn apply_join(
-    db: &Database,
-    left: Vec<Env>,
-    join: &Join,
+/// Extends `left` by the rows of `right` that satisfy the join; a LEFT
+/// JOIN keeps an unmatched left row null-extended.
+fn join_rows<'a>(
+    db: &'a Database,
+    scope: &Scope<'a>,
+    left: &Rows<'a>,
+    right: &'a Table,
+    join: &'a Join,
     side: &mut SideEffects,
-    outer: Option<&Ctx<'_>>,
-) -> Result<Vec<Env>, DbError> {
-    let right = load_table(db, &join.table)?;
-    let mut out = Vec::new();
-    for l in &left {
+    outer: Option<&Ctx<'_, 'a>>,
+) -> Result<Rows<'a>, DbError> {
+    let mut out = Rows::new(left.width + 1);
+    for l in left.iter() {
         let mut matched = false;
-        for r in &right {
-            let mut combined = l.clone();
-            combined.entries.extend(r.entries.iter().cloned());
+        for r in right.rows() {
+            out.cells.extend_from_slice(l);
+            out.cells.push(Some(r));
             let keep = match (&join.kind, &join.on) {
                 (JoinKind::Cross, _) | (_, None) => true,
                 (_, Some(pred)) => {
-                    let ctx = Ctx { db, env: Some(&combined), group: None, outer };
+                    let row = &out.cells[out.len * out.width..];
+                    let ctx = Ctx { db, scope, row: Some(row), group: None, outer };
                     eval(ctx, side, pred)?.is_truthy()
                 }
             };
             if keep {
                 matched = true;
-                out.push(combined);
+                out.len += 1;
+            } else {
+                out.cells.truncate(out.len * out.width);
             }
         }
         if !matched && join.kind == JoinKind::Left {
             // Null-extend the right side.
-            let mut combined = l.clone();
-            if let Some(rt) = db.table(&join.table.name) {
-                let q = join.table.alias.as_deref().unwrap_or(&join.table.name);
-                for col in rt.columns() {
-                    combined.push(Some(q), col, Value::Null);
-                }
-            }
-            out.push(combined);
+            out.cells.extend_from_slice(l);
+            out.cells.push(None);
+            out.len += 1;
         }
     }
     Ok(out)
 }
 
+/// One output row: wildcards copy the current row's values, expressions
+/// are evaluated in projection order.
 fn project(
-    ctx: Ctx<'_>,
+    ctx: Ctx<'_, '_>,
     side: &mut SideEffects,
     sel: &SelectStatement,
-    env: Option<&Env>,
-) -> Result<(Vec<String>, Vec<Value>), DbError> {
-    let mut cols = Vec::new();
+) -> Result<Vec<Value>, DbError> {
     let mut row = Vec::new();
     for p in &sel.projections {
         match p {
-            Projection::Wildcard => match env {
-                Some(e) => {
-                    for (_, name, value) in &e.entries {
-                        cols.push(name.clone());
-                        row.push(value.clone());
-                    }
-                }
+            Projection::Wildcard => match ctx.row {
+                Some(r) => ctx.scope.row_values(r, |_| true, &mut row),
                 None => {
                     return Err(DbError::Other("SELECT * with no FROM clause".into()));
                 }
             },
-            Projection::QualifiedWildcard(q) => match env {
-                Some(e) => {
-                    let ql = q.to_ascii_lowercase();
-                    for (qual, name, value) in &e.entries {
-                        if qual.as_deref() == Some(ql.as_str()) {
-                            cols.push(name.clone());
-                            row.push(value.clone());
-                        }
-                    }
+            Projection::QualifiedWildcard(q) => match ctx.row {
+                Some(r) => {
+                    ctx.scope.row_values(r, |s| s.qualifier.eq_ignore_ascii_case(q), &mut row)
                 }
                 None => {
                     return Err(DbError::Other("qualified * with no FROM clause".into()));
                 }
             },
-            Projection::Expr { expr, alias } => {
-                cols.push(alias.clone().unwrap_or_else(|| expr_name(expr)));
-                row.push(eval(ctx, side, expr)?);
-            }
+            Projection::Expr { expr, .. } => row.push(eval(ctx, side, expr)?.into_owned()),
         }
     }
-    Ok((cols, row))
+    Ok(row)
 }
 
-/// Column names for an empty result (no rows to expand wildcards against).
-fn project_names_only(
-    _ctx: Ctx<'_>,
+/// Output column names, with `wildcard` naming each `*` / `t.*`.
+fn projection_names(
     sel: &SelectStatement,
-    _envs: &[Env],
-) -> Result<(Vec<String>, ()), DbError> {
+    wildcard: impl Fn(&Projection) -> Vec<String>,
+) -> Vec<String> {
     let mut cols = Vec::new();
     for p in &sel.projections {
         match p {
-            Projection::Wildcard | Projection::QualifiedWildcard(_) => cols.push("*".to_string()),
+            Projection::Wildcard | Projection::QualifiedWildcard(_) => cols.extend(wildcard(p)),
             Projection::Expr { expr, alias } => {
                 cols.push(alias.clone().unwrap_or_else(|| expr_name(expr)));
             }
         }
     }
-    Ok((cols, ()))
+    cols
+}
+
+/// The lowercased column names of the sources `keep` accepts.
+fn wildcard_names(scope: &Scope<'_>, keep: impl Fn(&Source<'_>) -> bool) -> Vec<String> {
+    scope
+        .sources()
+        .iter()
+        .filter(|s| keep(s))
+        .flat_map(|s| s.table.columns().iter().map(|c| c.to_ascii_lowercase()))
+        .collect()
 }
 
 fn expr_name(e: &Expr) -> String {
@@ -322,11 +348,11 @@ fn expr_name(e: &Expr) -> String {
     }
 }
 
-fn order_keys(
-    ctx: Ctx<'_>,
+fn order_keys<'a>(
+    ctx: Ctx<'_, 'a>,
     side: &mut SideEffects,
-    sel: &SelectStatement,
-) -> Result<Vec<Value>, DbError> {
+    sel: &'a SelectStatement,
+) -> Result<Vec<Cow<'a, Value>>, DbError> {
     let mut keys = Vec::with_capacity(sel.order_by.len());
     for item in &sel.order_by {
         keys.push(eval(ctx, side, &item.expr)?);
@@ -342,12 +368,12 @@ pub(crate) fn run_insert(
     // Evaluate all rows first (read-only borrow), then apply.
     let mut evaluated: Vec<Vec<Value>> = Vec::with_capacity(ins.rows.len());
     {
-        let db_ref: &Database = db;
-        let ctx = Ctx { db: db_ref, env: None, group: None, outer: None };
+        let scope = Scope::new(Vec::new());
+        let ctx = Ctx { db, scope: &scope, row: None, group: None, outer: None };
         for row in &ins.rows {
             let mut vals = Vec::with_capacity(row.len());
             for e in row {
-                vals.push(eval(ctx, side, e)?);
+                vals.push(eval(ctx, side, e)?.into_owned());
             }
             evaluated.push(vals);
         }
@@ -374,52 +400,72 @@ pub(crate) fn run_insert(
     Ok(affected)
 }
 
+/// The read-only pass of UPDATE and DELETE: calls `hit` with each row of
+/// `table` the WHERE clause accepts (all rows without one), in storage
+/// order, then cuts the hits to the LIMIT.
+fn matching_rows<'a, H>(
+    db: &'a Database,
+    table: &'a Table,
+    where_clause: Option<&'a Expr>,
+    limit: Option<&'a Limit>,
+    side: &mut SideEffects,
+    mut hit: impl FnMut(Ctx<'_, 'a>, &mut SideEffects, usize) -> Result<H, DbError>,
+) -> Result<Vec<H>, DbError> {
+    let scope = Scope::new(vec![Source { qualifier: table.name(), table }]);
+    let mut hits = Vec::new();
+    for (ri, row) in table.rows().iter().enumerate() {
+        let row = [Some(row.as_slice())];
+        let ctx = Ctx { db, scope: &scope, row: Some(&row), group: None, outer: None };
+        let matched = match where_clause {
+            Some(pred) => eval(ctx, side, pred)?.is_truthy(),
+            None => true,
+        };
+        if matched {
+            hits.push(hit(ctx, side, ri)?);
+        }
+    }
+    // LIMIT applies to matched rows in order.
+    if let Some(limit) = limit {
+        let ctx = Ctx { db, scope: &scope, row: None, group: None, outer: None };
+        let count = eval(ctx, side, &limit.count)?.as_i64().max(0) as usize;
+        hits.truncate(count);
+    }
+    Ok(hits)
+}
+
+fn table_for<'d>(db: &'d Database, name: &str) -> Result<&'d Table, DbError> {
+    db.table(name).ok_or_else(|| DbError::UnknownTable(name.to_string()))
+}
+
 pub(crate) fn run_update(
     db: &mut Database,
     upd: &UpdateStatement,
     side: &mut SideEffects,
 ) -> Result<usize, DbError> {
-    let key = upd.table.to_ascii_lowercase();
-    let table = db.tables.get(&key).ok_or_else(|| DbError::UnknownTable(upd.table.clone()))?;
-    let columns: Vec<String> = table.columns().to_vec();
-    let name = table.name().to_string();
-
     // Pass 1 (read-only): decide which rows match and compute new values.
-    let mut updates: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
-    {
-        let db_ref: &Database = db;
-        let table = db_ref.table(&upd.table).expect("checked above");
-        for (ri, row) in table.rows().iter().enumerate() {
-            let mut env = Env::default();
-            for (col, val) in columns.iter().zip(row) {
-                env.push(Some(&name), col, val.clone());
-            }
-            let ctx = Ctx { db: db_ref, env: Some(&env), group: None, outer: None };
-            let hit = match &upd.where_clause {
-                Some(pred) => eval(ctx, side, pred)?.is_truthy(),
-                None => true,
-            };
-            if hit {
+    let updates = {
+        let db: &Database = db;
+        let table = table_for(db, &upd.table)?;
+        let targets: Vec<Option<usize>> =
+            upd.assignments.iter().map(|(col, _)| table.column_index(col)).collect();
+        matching_rows(
+            db,
+            table,
+            upd.where_clause.as_ref(),
+            upd.limit.as_ref(),
+            side,
+            |ctx, side, ri| {
                 let mut assignments = Vec::with_capacity(upd.assignments.len());
-                for (col, e) in &upd.assignments {
-                    let idx = columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(col))
-                        .ok_or_else(|| DbError::UnknownColumn(col.clone()))?;
-                    assignments.push((idx, eval(ctx, side, e)?));
+                for ((col, e), target) in upd.assignments.iter().zip(&targets) {
+                    let idx = target.ok_or_else(|| DbError::UnknownColumn(col.clone()))?;
+                    assignments.push((idx, eval(ctx, side, e)?.into_owned()));
                 }
-                updates.push((ri, assignments));
-            }
-        }
-    }
-    // LIMIT applies to matched rows in order.
-    if let Some(limit) = &upd.limit {
-        let ctx = Ctx { db, env: None, group: None, outer: None };
-        let count = eval(ctx, side, &limit.count)?.as_i64().max(0) as usize;
-        updates.truncate(count);
-    }
+                Ok((ri, assignments))
+            },
+        )?
+    };
     let affected = updates.len();
-    let table = db.tables.get_mut(&key).expect("checked above");
+    let table = db.tables.get_mut(&upd.table.to_ascii_lowercase()).expect("checked above");
     for (ri, assignments) in updates {
         for (ci, val) in assignments {
             table.rows_mut()[ri][ci] = val;
@@ -433,37 +479,14 @@ pub(crate) fn run_delete(
     del: &DeleteStatement,
     side: &mut SideEffects,
 ) -> Result<usize, DbError> {
-    let key = del.table.to_ascii_lowercase();
-    let table = db.tables.get(&key).ok_or_else(|| DbError::UnknownTable(del.table.clone()))?;
-    let columns: Vec<String> = table.columns().to_vec();
-    let name = table.name().to_string();
-
-    let mut doomed: Vec<usize> = Vec::new();
-    {
-        let db_ref: &Database = db;
-        let table = db_ref.table(&del.table).expect("checked above");
-        for (ri, row) in table.rows().iter().enumerate() {
-            let mut env = Env::default();
-            for (col, val) in columns.iter().zip(row) {
-                env.push(Some(&name), col, val.clone());
-            }
-            let ctx = Ctx { db: db_ref, env: Some(&env), group: None, outer: None };
-            let hit = match &del.where_clause {
-                Some(pred) => eval(ctx, side, pred)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                doomed.push(ri);
-            }
-        }
-    }
-    if let Some(limit) = &del.limit {
-        let ctx = Ctx { db, env: None, group: None, outer: None };
-        let count = eval(ctx, side, &limit.count)?.as_i64().max(0) as usize;
-        doomed.truncate(count);
-    }
+    let doomed = {
+        let db: &Database = db;
+        let table = table_for(db, &del.table)?;
+        let (pred, limit) = (del.where_clause.as_ref(), del.limit.as_ref());
+        matching_rows(db, table, pred, limit, side, |_, _, ri| Ok(ri))?
+    };
     let affected = doomed.len();
-    let table = db.tables.get_mut(&key).expect("checked above");
+    let table = db.tables.get_mut(&del.table.to_ascii_lowercase()).expect("checked above");
     for ri in doomed.into_iter().rev() {
         table.rows_mut().remove(ri);
     }

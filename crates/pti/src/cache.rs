@@ -31,15 +31,52 @@ impl CacheStats {
     }
 }
 
+/// How many query hashes one generation of the query cache holds.
+const QUERY_CACHE_GENERATION: usize = 1 << 14;
+
+/// The query cache's hashes, bounded: inserts fill `current` until it
+/// holds [`QUERY_CACHE_GENERATION`] hashes, then it replaces `previous`,
+/// whose hashes are dropped. Lookups consult both generations. Without
+/// the bound a stream of unique safe queries (fresh comment text, fresh
+/// ids) grows the cache for as long as the process serves.
+#[derive(Debug, Default)]
+struct Generations {
+    current: HashSet<u64>,
+    previous: HashSet<u64>,
+}
+
+impl Generations {
+    fn contains(&self, h: u64) -> bool {
+        self.current.contains(&h) || self.previous.contains(&h)
+    }
+
+    /// Adds `h`; false when it was already cached.
+    fn insert(&mut self, h: u64) -> bool {
+        if self.contains(h) {
+            return false;
+        }
+        if self.current.len() >= QUERY_CACHE_GENERATION {
+            self.previous = std::mem::take(&mut self.current);
+        }
+        self.current.insert(h)
+    }
+
+    fn len(&self) -> usize {
+        self.current.len() + self.previous.len()
+    }
+}
+
 /// The PTI query cache: remembers exact queries that were analyzed safe.
 ///
 /// "Because many queries of a web application are constant and do not rely
 /// on any user-input, caching improves performance significantly" (§IV-C2).
 /// Only *safe* verdicts are cached — an attack must always re-trigger full
-/// analysis and reporting.
+/// analysis and reporting. It keeps the most recently cached queries, at
+/// most two generations of 16,384, so a stream of unique safe queries
+/// cannot grow it without bound.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    safe: HashSet<u64>,
+    safe: Generations,
     stats: CacheStats,
 }
 
@@ -51,7 +88,7 @@ impl QueryCache {
 
     /// Whether this exact query was previously found safe.
     pub fn lookup(&mut self, query: &str) -> bool {
-        let hit = self.safe.contains(&hash_str(query));
+        let hit = self.safe.contains(hash_str(query));
         if hit {
             self.stats.hits += 1;
         } else {
@@ -74,7 +111,7 @@ impl QueryCache {
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.safe.is_empty()
+        self.len() == 0
     }
 
     /// Lookup/insert statistics.
@@ -161,7 +198,7 @@ impl StructureCache {
 /// totals.
 #[derive(Debug, Default)]
 pub struct SharedQueryCache {
-    safe: RwLock<HashSet<u64>>,
+    safe: RwLock<Generations>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -175,7 +212,7 @@ impl SharedQueryCache {
 
     /// Whether this exact query was previously found safe (by any worker).
     pub fn lookup(&self, query: &str) -> bool {
-        let hit = self.safe.read().contains(&hash_str(query));
+        let hit = self.safe.read().contains(hash_str(query));
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -198,7 +235,7 @@ impl SharedQueryCache {
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.safe.read().is_empty()
+        self.len() == 0
     }
 
     /// Lookup/insert statistics snapshot.
@@ -287,6 +324,25 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn query_cache_is_bounded_and_keeps_recent_queries() {
+        let mut c = QueryCache::new();
+        let shared = SharedQueryCache::new();
+        let n = 3 * QUERY_CACHE_GENERATION;
+        for i in 0..n {
+            c.insert_safe(&format!("SELECT {i}"));
+            shared.insert_safe(&format!("SELECT {i}"));
+        }
+        for len in [c.len(), shared.len()] {
+            assert!(len <= 2 * QUERY_CACHE_GENERATION, "{len} hashes cached");
+        }
+        let newest = format!("SELECT {}", n - 1);
+        let last_generation = format!("SELECT {}", n - QUERY_CACHE_GENERATION - 1);
+        assert!(c.lookup(&newest) && c.lookup(&last_generation));
+        assert!(shared.lookup(&newest) && shared.lookup(&last_generation));
+        assert!(!c.lookup("SELECT 0") && !shared.lookup("SELECT 0"));
     }
 
     #[test]

@@ -28,6 +28,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest a statement's expressions may nest: parenthesised and
+/// function-argument nesting, `NOT`/unary-minus runs, subqueries, and the
+/// height of left-deep operator chains (`a OR b OR …`). Past it, [`parse`]
+/// fails with a [`ParseError`] instead of recursing until the stack
+/// overflows, so the executor, which recurses along the same tree, only
+/// ever sees bounded statements. MySQL likewise rejects over-deep
+/// statements with an error rather than crashing; no statement the
+/// testbed issues comes near this depth.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parses one SQL statement (a trailing semicolon is permitted).
 ///
 /// # Errors
@@ -70,7 +80,7 @@ pub fn parse(source: &str) -> Result<Statement, ParseError> {
             });
         }
     }
-    let mut p = Parser { src: source, tokens, pos: 0 };
+    let mut p = Parser { src: source, tokens, pos: 0, depth: 0 };
     let stmt = p.statement()?;
     p.eat_kind(TokenKind::Semicolon);
     if let Some(t) = p.peek() {
@@ -83,6 +93,8 @@ struct Parser<'a> {
     src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursive-descent nesting of the expression being parsed.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -191,12 +203,16 @@ impl<'a> Parser<'a> {
     }
 
     fn select(&mut self) -> PResult<SelectStatement> {
+        // A subquery costs a level of its own on top of its expressions':
+        // a SELECT's parse keeps the largest frames on the stack.
+        self.descend()?;
         let mut stmt = self.select_body()?;
         while self.eat_kw("UNION") {
             let op = if self.eat_kw("ALL") { SetOp::UnionAll } else { SetOp::Union };
             let rhs = self.select_body()?;
             stmt.set_ops.push((op, rhs));
         }
+        self.depth -= 1;
         Ok(stmt)
     }
 
@@ -400,12 +416,48 @@ impl<'a> Parser<'a> {
 
     // ----- expressions, precedence climbing -----
 
+    /// Enters one level of recursive descent, failing past
+    /// [`MAX_NESTING_DEPTH`]; the caller steps back out with `depth -= 1`.
+    fn descend(&mut self) -> PResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err_here(format!("statement nested deeper than {MAX_NESTING_DEPTH} levels"))
+    }
+
+    /// Links `left op right` into a left-deep chain. Chains grow in a
+    /// loop rather than by recursion, so each link measures the tree it
+    /// builds; `height` carries the chain's height between links.
+    fn link(
+        &self,
+        left: Expr,
+        op: BinaryOp,
+        right: Expr,
+        height: &mut Option<usize>,
+    ) -> PResult<Expr> {
+        let h = 1 + height.unwrap_or_else(|| expr_depth(&left)).max(expr_depth(&right));
+        if h > MAX_NESTING_DEPTH {
+            return Err(self.too_deep());
+        }
+        *height = Some(h);
+        Ok(Expr::Binary { left: Box::new(left), op, right: Box::new(right) })
+    }
+
     fn expr(&mut self) -> PResult<Expr> {
-        self.or_expr()
+        self.descend()?;
+        let e = self.or_expr()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> PResult<Expr> {
         let mut left = self.and_expr()?;
+        let mut height = None;
         loop {
             let op = if self.eat_kw("OR") || self.eat_op("||") {
                 BinaryOp::Or
@@ -415,23 +467,26 @@ impl<'a> Parser<'a> {
                 break;
             };
             let right = self.and_expr()?;
-            left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
+            left = self.link(left, op, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn and_expr(&mut self) -> PResult<Expr> {
         let mut left = self.not_expr()?;
+        let mut height = None;
         while self.eat_kw("AND") || self.eat_op("&&") {
             let right = self.not_expr()?;
-            left = Expr::Binary { left: Box::new(left), op: BinaryOp::And, right: Box::new(right) };
+            left = self.link(left, BinaryOp::And, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn not_expr(&mut self) -> PResult<Expr> {
         if self.eat_kw("NOT") {
+            self.descend()?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) })
         } else {
             self.comparison()
@@ -440,6 +495,13 @@ impl<'a> Parser<'a> {
 
     fn comparison(&mut self) -> PResult<Expr> {
         let left = self.additive()?;
+        self.comparison_rest(left)
+    }
+
+    /// The operator after a comparison's left operand, if any. Kept out of
+    /// [`Parser::comparison`] so that the frame every nesting level keeps on
+    /// the stack stays small.
+    fn comparison_rest(&mut self, left: Expr) -> PResult<Expr> {
         // IS [NOT] NULL / TRUE / FALSE
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
@@ -465,13 +527,8 @@ impl<'a> Parser<'a> {
         if self.eat_kw("IN") {
             self.expect_kind(TokenKind::LParen)?;
             if self.at_kw("SELECT") {
-                let sub = self.select()?;
-                self.expect_kind(TokenKind::RParen)?;
-                return Ok(Expr::InSubquery {
-                    expr: Box::new(left),
-                    subquery: Box::new(sub),
-                    negated,
-                });
+                let subquery = self.subquery()?;
+                return Ok(Expr::InSubquery { expr: Box::new(left), subquery, negated });
             }
             let mut list = Vec::new();
             loop {
@@ -540,6 +597,7 @@ impl<'a> Parser<'a> {
 
     fn additive(&mut self) -> PResult<Expr> {
         let mut left = self.multiplicative()?;
+        let mut height = None;
         loop {
             let op = if self.eat_op("+") {
                 BinaryOp::Add
@@ -549,13 +607,14 @@ impl<'a> Parser<'a> {
                 break;
             };
             let right = self.multiplicative()?;
-            left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
+            left = self.link(left, op, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn multiplicative(&mut self) -> PResult<Expr> {
         let mut left = self.unary()?;
+        let mut height = None;
         loop {
             let op = if self.eat_op("*") {
                 BinaryOp::Mul
@@ -567,113 +626,116 @@ impl<'a> Parser<'a> {
                 break;
             };
             let right = self.unary()?;
-            left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
+            left = self.link(left, op, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn unary(&mut self) -> PResult<Expr> {
-        if self.eat_op("-") {
-            let inner = self.unary()?;
-            return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
-        }
-        if self.eat_op("+") {
-            let inner = self.unary()?;
-            return Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(inner) });
-        }
-        if self.eat_op("!") {
-            let inner = self.unary()?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
-        }
-        self.primary()
+        let op = if self.eat_op("-") {
+            UnaryOp::Neg
+        } else if self.eat_op("+") {
+            UnaryOp::Plus
+        } else if self.eat_op("!") {
+            UnaryOp::Not
+        } else {
+            return self.primary();
+        };
+        self.descend()?;
+        let inner = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr::Unary { op, expr: Box::new(inner) })
     }
 
+    /// An operand. Only the parenthesised form recurses from this frame;
+    /// the other forms live in their own functions so that the frame every
+    /// nesting level keeps on the stack stays small.
     fn primary(&mut self) -> PResult<Expr> {
         let t = self.peek().ok_or_else(|| self.err_here("unexpected end of input"))?;
         match t.kind {
-            TokenKind::Number => {
-                self.pos += 1;
-                let text = t.text(self.src);
-                Ok(Expr::Literal(parse_number(text)))
-            }
-            TokenKind::StringLit => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Str(unescape_string(t.text(self.src)))))
-            }
-            TokenKind::Placeholder => {
-                self.pos += 1;
-                Ok(Expr::Placeholder(t.text(self.src).to_string()))
-            }
-            TokenKind::Variable => {
-                self.pos += 1;
-                Ok(Expr::Variable(t.text(self.src).to_string()))
-            }
             TokenKind::LParen => {
                 self.pos += 1;
                 if self.at_kw("SELECT") {
-                    let sub = self.select()?;
-                    self.expect_kind(TokenKind::RParen)?;
-                    return Ok(Expr::Subquery(Box::new(sub)));
+                    return self.subquery().map(Expr::Subquery);
                 }
                 let inner = self.expr()?;
                 self.expect_kind(TokenKind::RParen)?;
                 Ok(inner)
             }
-            TokenKind::Keyword => {
-                let kw = t.text(self.src).to_ascii_uppercase();
-                match kw.as_str() {
-                    "NULL" => {
-                        self.pos += 1;
-                        Ok(Expr::Literal(Value::Null))
-                    }
-                    "TRUE" => {
-                        self.pos += 1;
-                        Ok(Expr::Literal(Value::Int(1)))
-                    }
-                    "FALSE" => {
-                        self.pos += 1;
-                        Ok(Expr::Literal(Value::Int(0)))
-                    }
-                    "EXISTS" => {
-                        self.pos += 1;
-                        self.expect_kind(TokenKind::LParen)?;
-                        let sub = self.select()?;
-                        self.expect_kind(TokenKind::RParen)?;
-                        Ok(Expr::Exists(Box::new(sub)))
-                    }
-                    "CASE" => {
-                        self.pos += 1;
-                        self.case_expr()
-                    }
-                    // Keywords that double as function names (e.g.
-                    // DATABASE(), REPLACE(x,y,z), BENCHMARK(...)).
-                    "DATABASE" | "REPLACE" | "BENCHMARK" | "DEFAULT" | "KEY"
-                        if self
-                            .tokens
-                            .get(self.pos + 1)
-                            .is_some_and(|n| n.kind == TokenKind::LParen) =>
-                    {
-                        self.pos += 1;
-                        self.function_call(kw)
-                    }
-                    _ => Err(self.err_at(t, format!("unexpected keyword {kw}"))),
-                }
-            }
-            TokenKind::Identifier | TokenKind::QuotedIdentifier => {
-                let name = self.ident()?;
-                // Function call?
-                if self.peek().is_some_and(|n| n.kind == TokenKind::LParen) {
-                    return self.function_call(name.to_ascii_uppercase());
-                }
-                // Qualified column t.col
-                if self.eat_kind(TokenKind::Dot) {
-                    let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef { table: Some(name), name: col }));
-                }
-                Ok(Expr::Column(ColumnRef { table: None, name }))
-            }
-            _ => Err(self.err_at(t, format!("unexpected token {}", t.kind))),
+            TokenKind::Keyword => self.keyword_primary(t),
+            TokenKind::Identifier | TokenKind::QuotedIdentifier => self.ident_primary(),
+            _ => self.literal(t),
         }
+    }
+
+    /// `SELECT …)` after an opening parenthesis.
+    fn subquery(&mut self) -> PResult<Box<SelectStatement>> {
+        let sub = self.select()?;
+        self.expect_kind(TokenKind::RParen)?;
+        Ok(Box::new(sub))
+    }
+
+    fn literal(&mut self, t: Token) -> PResult<Expr> {
+        let text = t.text(self.src);
+        let e = match t.kind {
+            TokenKind::Number => Expr::Literal(parse_number(text)),
+            TokenKind::StringLit => Expr::Literal(Value::Str(unescape_string(text))),
+            TokenKind::Placeholder => Expr::Placeholder(text.to_string()),
+            TokenKind::Variable => Expr::Variable(text.to_string()),
+            _ => return Err(self.err_at(t, format!("unexpected token {}", t.kind))),
+        };
+        self.pos += 1;
+        Ok(e)
+    }
+
+    fn keyword_primary(&mut self, t: Token) -> PResult<Expr> {
+        let kw = t.text(self.src).to_ascii_uppercase();
+        match kw.as_str() {
+            "NULL" => {
+                self.pos += 1;
+                Ok(Expr::Literal(Value::Null))
+            }
+            "TRUE" => {
+                self.pos += 1;
+                Ok(Expr::Literal(Value::Int(1)))
+            }
+            "FALSE" => {
+                self.pos += 1;
+                Ok(Expr::Literal(Value::Int(0)))
+            }
+            "EXISTS" => {
+                self.pos += 1;
+                self.expect_kind(TokenKind::LParen)?;
+                self.subquery().map(Expr::Exists)
+            }
+            "CASE" => {
+                self.pos += 1;
+                self.case_expr()
+            }
+            // Keywords that double as function names (e.g.
+            // DATABASE(), REPLACE(x,y,z), BENCHMARK(...)).
+            "DATABASE" | "REPLACE" | "BENCHMARK" | "DEFAULT" | "KEY"
+                if self.tokens.get(self.pos + 1).is_some_and(|n| n.kind == TokenKind::LParen) =>
+            {
+                self.pos += 1;
+                self.function_call(kw)
+            }
+            _ => Err(self.err_at(t, format!("unexpected keyword {kw}"))),
+        }
+    }
+
+    fn ident_primary(&mut self) -> PResult<Expr> {
+        let name = self.ident()?;
+        // Function call?
+        if self.peek().is_some_and(|n| n.kind == TokenKind::LParen) {
+            return self.function_call(name.to_ascii_uppercase());
+        }
+        // Qualified column t.col
+        if self.eat_kind(TokenKind::Dot) {
+            let col = self.ident()?;
+            return Ok(Expr::Column(ColumnRef { table: Some(name), name: col }));
+        }
+        Ok(Expr::Column(ColumnRef { table: None, name }))
     }
 
     fn function_call(&mut self, name: String) -> PResult<Expr> {
@@ -715,6 +777,57 @@ impl<'a> Parser<'a> {
         self.expect_kw("END")?;
         Ok(Expr::Case { operand, branches, else_arm })
     }
+}
+
+/// Height of an expression tree, subqueries included.
+fn expr_depth(e: &Expr) -> usize {
+    1 + match e {
+        Expr::Literal(_)
+        | Expr::Column(_)
+        | Expr::Wildcard
+        | Expr::Placeholder(_)
+        | Expr::Variable(_) => 0,
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr_depth(expr),
+        Expr::Binary { left, right, .. } => expr_depth(left).max(expr_depth(right)),
+        Expr::Like { expr, pattern, .. } => expr_depth(expr).max(expr_depth(pattern)),
+        Expr::Between { expr, low, high, .. } => {
+            expr_depth(expr).max(expr_depth(low)).max(expr_depth(high))
+        }
+        Expr::Function { args, .. } => deepest(args),
+        Expr::InList { expr, list, .. } => expr_depth(expr).max(deepest(list)),
+        Expr::InSubquery { expr, subquery, .. } => expr_depth(expr).max(select_depth(subquery)),
+        Expr::Subquery(sub) | Expr::Exists(sub) => select_depth(sub),
+        Expr::Case { operand, branches, else_arm } => deepest(
+            operand
+                .as_deref()
+                .into_iter()
+                .chain(branches.iter().flat_map(|(w, t)| [w, t]))
+                .chain(else_arm.as_deref()),
+        ),
+    }
+}
+
+fn deepest<'e>(es: impl IntoIterator<Item = &'e Expr>) -> usize {
+    es.into_iter().map(expr_depth).max().unwrap_or(0)
+}
+
+/// Height of the deepest expression in a `SELECT` (and its UNION arms).
+fn select_depth(s: &SelectStatement) -> usize {
+    let exprs = s
+        .projections
+        .iter()
+        .filter_map(|p| match p {
+            Projection::Expr { expr, .. } => Some(expr),
+            _ => None,
+        })
+        .chain(s.joins.iter().filter_map(|j| j.on.as_ref()))
+        .chain(&s.where_clause)
+        .chain(&s.group_by)
+        .chain(&s.having)
+        .chain(s.order_by.iter().map(|o| &o.expr))
+        .chain(s.limit.iter().flat_map(|l| l.offset.iter().chain([&l.count])));
+    let own = deepest(exprs);
+    s.set_ops.iter().map(|(_, arm)| select_depth(arm)).fold(own, usize::max)
 }
 
 fn parse_number(text: &str) -> Value {
@@ -979,6 +1092,41 @@ mod tests {
         assert!(parse("SELECT 'unterminated").is_err());
         assert!(parse("SELECT * FROM t extra garbage ( (").is_err());
         assert!(parse("DROP TABLE users").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let n = 100_000;
+        let too_deep = [
+            format!("SELECT * FROM t WHERE {}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT * FROM t WHERE {}1", "1 OR ".repeat(n)),
+            format!("SELECT {}1", "1 + ".repeat(n)),
+            format!("SELECT * FROM t WHERE {}1", "NOT ".repeat(n)),
+            format!("SELECT {}1", "- ".repeat(n)),
+            format!("SELECT {}1{}", "ABS(".repeat(n), ")".repeat(n)),
+            format!("SELECT {}1{}", "(SELECT ".repeat(n), ")".repeat(n)),
+        ];
+        for sql in &too_deep {
+            let err = parse(sql).unwrap_err();
+            assert!(err.message.contains("nested deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // The statement's own SELECT takes one level.
+        let n = MAX_NESTING_DEPTH - 2;
+        sel(&format!("SELECT * FROM t WHERE {}1{}", "(".repeat(n), ")".repeat(n)));
+        sel(&format!("SELECT {}1", "NOT ".repeat(n)));
+        // A chain of k links is k + 1 nodes high.
+        sel(&format!("SELECT {}1", "1 + ".repeat(MAX_NESTING_DEPTH - 1)));
+        assert!(parse(&format!("SELECT {}1", "1 + ".repeat(MAX_NESTING_DEPTH))).is_err());
+        // A subquery takes two levels: its SELECT and its expression.
+        let k = (MAX_NESTING_DEPTH - 1) / 2;
+        sel(&format!("SELECT {}1{}", "(SELECT ".repeat(k), ")".repeat(k)));
+        assert!(
+            parse(&format!("SELECT {}1{}", "(SELECT ".repeat(k + 1), ")".repeat(k + 1))).is_err()
+        );
     }
 
     #[test]

@@ -83,9 +83,11 @@ impl Value {
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Str(a), Value::Str(b)) => {
-                Some(a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()))
-            }
+            (Value::Str(a), Value::Str(b)) => Some(
+                a.bytes()
+                    .map(|c| c.to_ascii_lowercase())
+                    .cmp(b.bytes().map(|c| c.to_ascii_lowercase())),
+            ),
             _ => self.as_f64().partial_cmp(&other.as_f64()),
         }
     }
@@ -205,6 +207,15 @@ mod tests {
     #[test]
     fn string_comparison_case_insensitive() {
         assert_eq!(Value::Str("Admin".into()).sql_eq(&Value::Str("admin".into())), Some(true));
+        // Byte order of the ASCII-lowercased strings: `_` (0x5F) sorts
+        // before `A`, which folds to `a` (0x61); a prefix sorts first;
+        // non-ASCII bytes compare unfolded.
+        let s = |x: &str| Value::Str(x.into());
+        assert_eq!(s("_").compare(&s("A")), Some(Ordering::Less));
+        assert_eq!(s("Ab").compare(&s("aB")), Some(Ordering::Equal));
+        assert_eq!(s("ab").compare(&s("ABC")), Some(Ordering::Less));
+        assert_eq!(s("b").compare(&s("Ab")), Some(Ordering::Greater));
+        assert_eq!(s("é").compare(&s("É")), Some(Ordering::Greater));
     }
 
     #[test]

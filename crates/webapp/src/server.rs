@@ -538,6 +538,22 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_nesting_surfaces_as_sql_error() {
+        // The gate only lexes, so a request can carry a statement nested
+        // far past the parser's limit; it must come back as an SQL error,
+        // not abort the process.
+        let mut s = demo_server();
+        let n = 100_000;
+        let id = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let resp = s.handle(&HttpRequest::get("show-post").param("id", &id));
+        assert!(resp.had_sql_error(), "{:?}", resp.sql_error);
+        assert!(resp.body.contains("DB error"));
+        assert!(!resp.blocked);
+        let resp = s.handle(&HttpRequest::get("show-post").param("id", "1"));
+        assert_eq!(resp.body.trim(), "First Post");
+    }
+
+    #[test]
     fn double_blind_timing_visible_in_response() {
         let mut s = demo_server();
         let slow = s.handle(&HttpRequest::get("show-post").param("id", "1 AND SLEEP(3)"));

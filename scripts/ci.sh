@@ -37,6 +37,17 @@ cargo test -q -p joza-sqlparse --test proptests lex_into
 cargo test -q -p joza-sqlparse --test proptests sym_skeleton
 cargo test -q --test alloc_free
 
+# Database executor, explicitly: every statement the testbed issues must
+# replay bit-identical to the golden recording (rows, columns, errors,
+# virtual time, table dumps); statements nested past the parser's limit
+# must come back as parse errors instead of aborting; and a statement's
+# heap allocations must not grow with the rows it scans.
+echo "==> db golden differential, nesting limit, allocation bound"
+cargo test -q -p joza-lab --test db_golden
+cargo test -q -p joza-sqlparse --lib nesting
+cargo test -q -p joza-db --test depth_limit
+cargo test -q -p joza-db --test alloc_bound
+
 # Thread-scaling smoke over the batch-first serving API: verdicts must be
 # bit-identical to single-threaded at every thread count, the deploy-
 # under-load pass must conserve every counter across the mid-run swaps,
