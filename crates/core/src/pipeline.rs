@@ -26,7 +26,6 @@
 use crate::artifacts::QueryArtifacts;
 use crate::{Joza, RouteModel};
 use joza_pti::daemon::{DaemonMode, PreparedSql};
-use joza_strmatch::qgram::QgramProfile;
 use std::time::Instant;
 
 /// Number of pipeline stages (the length of every per-stage array).
@@ -283,17 +282,13 @@ impl CheckStage for NtiStage {
     fn run(&self, joza: &Joza, cx: &mut CheckCx<'_, '_>) -> StageOutcome {
         let artifacts = cx.artifacts;
         let nti_cfg = &joza.config.nti;
+        let criticals = || artifacts.criticals(&nti_cfg.critical);
         let view = joza_nti::QueryView {
-            query: artifacts.query(),
-            criticals: artifacts.criticals(&nti_cfg.critical),
             normalized: artifacts.normalized(nti_cfg.normalize_case),
+            criticals: &criticals,
         };
-        // The profile borrows the artifact bytes, so it lives on this
-        // stage frame rather than in the cache — still built at most once
-        // per checked query, because this stage runs at most once.
-        let profile = nti_cfg.qgram_prefilter.then(|| QgramProfile::new(view.normalized, 3));
         let mut fold = cx.arena.lease_input_fold();
-        let report = joza.nti.analyze_view_with(cx.inputs, view, profile.as_ref(), &mut fold);
+        let report = joza.nti.analyze_view_with(cx.inputs, view, &mut fold);
         let attack = report.is_attack();
         cx.nti_attack = Some(attack);
         cx.trace.set(StageId::Nti, if attack { StageStatus::Fired } else { StageStatus::Passed });

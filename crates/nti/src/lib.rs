@@ -19,9 +19,17 @@
 //! * the threshold trades false positives (too high) against false
 //!   negatives (too low); the paper's evasions exploit exactly this.
 //!
-//! Optimizations (§VI-B): a q-gram lower-bound prefilter and a length
-//! plausibility check skip implausible input/query pairs before the
-//! quadratic alignment runs.
+//! Optimizations (§VI-B): a length plausibility check and a q-gram
+//! lower-bound prefilter skip implausible input/query pairs before the
+//! alignment runs. The prefilter's query profile is a fixed-size,
+//! allocation-free presence set of hashed 3-grams, built lazily — only
+//! for an input whose best possible bound, `⌈(|p|−2)/3⌉`, exceeds its
+//! cutoff (at the default threshold, inputs of 12 bytes and more). Its
+//! bound may be weaker than Ukkonen's exact multiset count but is never
+//! above it, so a skip still implies that no span is within the cutoff:
+//! markings and verdicts are the same with or without it. Critical tokens
+//! (and, in [`NtiAnalyzer::analyze`], the lexing they need) are computed
+//! only when some marking survives.
 //!
 //! # Examples
 //!
@@ -49,6 +57,7 @@ use joza_strmatch::qgram::{self, QgramProfile};
 use joza_strmatch::sellers::substring_distance;
 use joza_strmatch::swar;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// Configuration for the NTI analyzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,19 +132,24 @@ impl NtiReport {
 }
 
 /// A parse-once view of the query under analysis: the artifacts
-/// [`NtiAnalyzer::analyze`] would otherwise recompute per call (lexing,
-/// critical-token extraction, case folding), precomputed by the caller
-/// and shared with the other detection stages.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryView<'q> {
-    /// The original query text.
-    pub query: &'q str,
-    /// Critical tokens of `query` under the analyzer's
-    /// [`NtiConfig::critical`] policy.
-    pub criticals: &'q [Token],
+/// [`NtiAnalyzer::analyze`] would otherwise derive itself, supplied by a
+/// caller that shares them with the other detection stages.
+#[derive(Clone, Copy)]
+pub struct QueryView<'v> {
     /// The query bytes in the analyzer's match normalization: case-folded
     /// when [`NtiConfig::normalize_case`] is set, raw otherwise.
-    pub normalized: &'q [u8],
+    pub normalized: &'v [u8],
+    /// The query's critical tokens under the analyzer's
+    /// [`NtiConfig::critical`] policy, on demand: called at most once per
+    /// analysis, and only when some marking survives — a query no input
+    /// marks is never lexed for NTI.
+    pub criticals: &'v dyn Fn() -> &'v [Token],
+}
+
+impl std::fmt::Debug for QueryView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryView").field("normalized", &self.normalized).finish_non_exhaustive()
+    }
 }
 
 /// The NTI analysis component.
@@ -143,6 +157,9 @@ pub struct QueryView<'q> {
 pub struct NtiAnalyzer {
     config: NtiConfig,
 }
+
+/// Gram length of the q-gram prefilter.
+const Q: usize = 3;
 
 impl NtiAnalyzer {
     /// Creates an analyzer.
@@ -160,40 +177,28 @@ impl NtiAnalyzer {
     /// Inputs are the *raw* request values (pre-transformation, §IV-B);
     /// markings from different inputs are never combined.
     pub fn analyze(&self, inputs: &[&str], query: &str) -> NtiReport {
-        let tokens = lex(query);
-        let criticals = critical_tokens(query, &tokens, &self.config.critical);
         let query_bytes: Cow<'_, [u8]> = if self.config.normalize_case {
             to_lower(query.as_bytes())
         } else {
             Cow::Borrowed(query.as_bytes())
         };
-        // The query's gram profile is input-independent: build it once per
-        // analyze call and reuse it for every input's prefilter check.
-        let query_profile = self.config.qgram_prefilter.then(|| QgramProfile::new(&query_bytes, 3));
-        self.analyze_view(
-            inputs,
-            QueryView { query, criticals: &criticals, normalized: &query_bytes },
-            query_profile.as_ref(),
-        )
+        let criticals = OnceCell::new();
+        let criticals = || {
+            criticals
+                .get_or_init(|| critical_tokens(query, &lex(query), &self.config.critical))
+                .as_slice()
+        };
+        self.analyze_view(inputs, QueryView { normalized: &query_bytes, criticals: &criticals })
     }
 
     /// [`NtiAnalyzer::analyze`] over precomputed query artifacts — the
-    /// parse-once entry point. The caller supplies the critical tokens and
-    /// normalized bytes (see [`QueryView`]) plus, when
-    /// [`NtiConfig::qgram_prefilter`] is enabled, the q-gram profile of
-    /// `view.normalized`; passing `None` there simply skips the q-gram
-    /// bound (the length-plausibility prefilter still applies).
+    /// parse-once entry point (see [`QueryView`]).
     ///
     /// Verdicts, markings, and counters are bit-identical to
     /// [`NtiAnalyzer::analyze`] when the view matches what that method
     /// would compute itself.
-    pub fn analyze_view(
-        &self,
-        inputs: &[&str],
-        view: QueryView<'_>,
-        query_profile: Option<&QgramProfile<'_>>,
-    ) -> NtiReport {
-        self.analyze_view_with(inputs, view, query_profile, &mut Vec::new())
+    pub fn analyze_view(&self, inputs: &[&str], view: QueryView<'_>) -> NtiReport {
+        self.analyze_view_with(inputs, view, &mut Vec::new())
     }
 
     /// [`NtiAnalyzer::analyze_view`] with a caller-owned case-folding
@@ -207,13 +212,13 @@ impl NtiAnalyzer {
         &self,
         inputs: &[&str],
         view: QueryView<'_>,
-        query_profile: Option<&QgramProfile<'_>>,
         fold_scratch: &mut Vec<u8>,
     ) -> NtiReport {
         let mut report = NtiReport::default();
-        let criticals = view.criticals;
         let query_bytes = view.normalized;
-        let query_profile = if self.config.qgram_prefilter { query_profile } else { None };
+        // Built on first need: only an input whose best possible bound
+        // beats its cutoff can be skipped by it.
+        let mut profile: Option<QgramProfile> = None;
 
         for (idx, input) in inputs.iter().enumerate() {
             if input.len() < self.config.min_input_len {
@@ -241,7 +246,8 @@ impl NtiAnalyzer {
                 report.comparisons_skipped += 1;
                 continue;
             }
-            if let Some(profile) = &query_profile {
+            if self.config.qgram_prefilter && qgram::max_bound(input_bytes.len(), Q) > cutoff {
+                let profile = profile.get_or_insert_with(|| QgramProfile::new(query_bytes, Q));
                 if profile.lower_bound(input_bytes) > cutoff {
                     report.comparisons_skipped += 1;
                     continue;
@@ -267,22 +273,26 @@ impl NtiAnalyzer {
             if m.is_empty() || m.diff_ratio() >= t {
                 continue;
             }
-            let mark = TaintMark {
+            report.markings.push(TaintMark {
                 input_index: idx,
                 start: m.start,
                 end: m.end,
                 distance: m.distance,
                 diff_ratio: m.diff_ratio(),
-            };
-            // Whole-token rule + critical coverage: find critical tokens
-            // fully inside this marking.
-            let mark_idx = report.markings.len();
-            for c in criticals {
-                if c.start >= mark.start && c.end <= mark.end {
-                    report.tainted_critical.push((mark_idx, *c));
+            });
+        }
+
+        // Whole-token rule + critical coverage: the critical tokens fully
+        // inside each marking, marking by marking.
+        if !report.markings.is_empty() {
+            let criticals = (view.criticals)();
+            for (mark_idx, mark) in report.markings.iter().enumerate() {
+                for c in criticals {
+                    if c.start >= mark.start && c.end <= mark.end {
+                        report.tainted_critical.push((mark_idx, *c));
+                    }
                 }
             }
-            report.markings.push(mark);
         }
         report
     }
@@ -442,11 +452,40 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_thresholds_do_not_panic() {
+        // t ≥ 1 makes the cutoff ∞ (saturating to usize::MAX) or
+        // negative (saturating to 0); neither may overflow the length
+        // check, the prefilter or the kernels.
+        let q = "SELECT * FROM t WHERE name='-1 OR 1=1' AND id=42 LIMIT 5";
+        let inputs = ["-1 OR 1=1", "an input of more than twelve bytes", "42"];
+        for threshold in [0.0, 0.999, 1.0, 1.5] {
+            for kernel in [MatchKernel::Classic, MatchKernel::BitParallel] {
+                let nti = NtiAnalyzer::new(NtiConfig { threshold, kernel, ..Default::default() });
+                let r = nti.analyze(&inputs, q);
+                if threshold == 0.0 {
+                    assert!(r.markings.is_empty(), "{r:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_inputs_and_query() {
         let r = nti().analyze(&[], "SELECT 1");
         assert!(!r.is_attack());
         let r = nti().analyze(&["payload"], "");
         assert!(!r.is_attack());
+    }
+
+    #[test]
+    fn tainted_critical_is_marking_major() {
+        // The first input marks the later span: its criticals come first.
+        let q = "SELECT * FROM t WHERE a=-1 OR 2=2 AND b=3 UNION SELECT pass FROM users";
+        let r = nti().analyze(&["3 UNION SELECT pass FROM users", "-1 OR 2=2"], q);
+        let order: Vec<(usize, &str)> =
+            r.tainted_critical.iter().map(|(m, t)| (*m, &q[t.range()])).collect();
+        let want = [(0, "UNION"), (0, "SELECT"), (0, "FROM"), (1, "-"), (1, "OR"), (1, "=")];
+        assert_eq!(order, want, "{r:?}");
     }
 
     #[test]

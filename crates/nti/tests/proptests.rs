@@ -95,19 +95,52 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The q-gram prefilter is purely an optimization: verdicts with and
-    /// without it agree.
+    /// The q-gram prefilter is purely an optimization: markings, tainted
+    /// critical tokens and verdicts with and without it agree, at the
+    /// default threshold and at strict ones where the prefilter skips
+    /// most.
     #[test]
     fn prefilter_never_changes_verdict(
-        input in "[ -~]{0,40}",
+        inputs in proptest::collection::vec("[ -~]{0,40}", 1..4),
         query in "[ -~]{0,80}",
+        t_idx in 0usize..3,
     ) {
-        let with = NtiAnalyzer::new(NtiConfig { qgram_prefilter: true, ..NtiConfig::default() });
-        let without = NtiAnalyzer::new(NtiConfig { qgram_prefilter: false, ..NtiConfig::default() });
-        prop_assert_eq!(
-            with.analyze(&[&input], &query).is_attack(),
-            without.analyze(&[&input], &query).is_attack()
-        );
+        let threshold = [0.05, 0.10, 0.20][t_idx];
+        let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let with = NtiAnalyzer::new(NtiConfig {
+            threshold, qgram_prefilter: true, ..NtiConfig::default()
+        });
+        let without = NtiAnalyzer::new(NtiConfig {
+            threshold, qgram_prefilter: false, ..NtiConfig::default()
+        });
+        let (a, b) = (with.analyze(&refs, &query), without.analyze(&refs, &query));
+        prop_assert_eq!(&a.markings, &b.markings);
+        prop_assert_eq!(&a.tainted_critical, &b.tainted_critical);
+        prop_assert_eq!(a.is_attack(), b.is_attack());
+    }
+
+    /// Same, on inputs that really occur in the query (lightly edited by
+    /// an app transformation), so markings fire and the prefilter must
+    /// let them through.
+    #[test]
+    fn prefilter_never_changes_embedded_markings(
+        payload in "[a-z0-9 '=()_,]{3,60}",
+        noise in "[ -~]{0,40}",
+        escape in 0usize..2,
+        t_idx in 0usize..3,
+    ) {
+        let threshold = [0.05, 0.10, 0.20][t_idx];
+        let in_query =
+            if escape == 1 { payload.replace('\'', "\\'") } else { payload.replace("  ", " ") };
+        let query = format!("SELECT * FROM t WHERE c='{in_query}' AND d='{noise}'");
+        let refs = [payload.as_str(), noise.as_str()];
+        let with = NtiAnalyzer::new(NtiConfig { threshold, ..NtiConfig::default() });
+        let without = NtiAnalyzer::new(NtiConfig {
+            threshold, qgram_prefilter: false, ..NtiConfig::default()
+        });
+        let (a, b) = (with.analyze(&refs, &query), without.analyze(&refs, &query));
+        prop_assert_eq!(&a.markings, &b.markings);
+        prop_assert_eq!(&a.tainted_critical, &b.tainted_critical);
     }
 
     /// The bit-parallel kernel is verdict- AND span-identical to Classic:

@@ -25,10 +25,10 @@
 //!   scan stops early (only taken while no candidate has been seen, so
 //!   the candidate set stays exact).
 //!
-//! The scan yields the minimal distance and every end position achieving
-//! it; the classic Sellers traceback then runs **only on the winning
-//! window** to recover exact `start..end` spans, and the final span is
-//! chosen with exactly the tie-break rules of
+//! The scan yields the minimal distance and the first and last end
+//! position achieving it; the classic Sellers traceback then runs **only
+//! on the winning window** to recover exact `start..end` spans, and the
+//! final span is chosen with exactly the tie-break rules of
 //! [`substring_distance`](crate::sellers::substring_distance) — verdicts
 //! and spans are bit-identical to the classic kernel (property-tested in
 //! `tests/proptests.rs`).
@@ -108,16 +108,15 @@ pub fn bounded_myers_substring_distance(
         return Some(SubstringMatch { start: 0, end: 0, distance: n });
     }
 
-    let (d_star, ends) = scan(pattern, text, k)?;
+    let (d_star, lo, hi) = scan(pattern, text, k)?;
     if d_star == 0 {
         // A distance-0 span is a verbatim occurrence: it ends at the first
         // zero-scoring column and starts exactly |pattern| bytes earlier
         // (the all-diagonal path, which is also what the Sellers tie-break
         // picks). No traceback needed.
-        let end = ends[0];
-        return Some(SubstringMatch { start: end - n, end, distance: 0 });
+        return Some(SubstringMatch { start: lo - n, end: lo, distance: 0 });
     }
-    Some(recover_span(pattern, text, d_star, &ends))
+    Some(recover_span(pattern, text, d_star, lo, hi))
 }
 
 /// One 64-row block advance (Myers' column update with Hyyrö's carry
@@ -150,29 +149,41 @@ fn advance_block(pv: &mut u64, mv: &mut u64, mut eq: u64, hin: i32) -> (u64, u64
 }
 
 /// The bit-parallel scan: minimal last-row score ≤ `k` over all end
-/// positions, plus every end position achieving it (in increasing order).
+/// positions, plus the first and last end position achieving it.
 /// Returns `None` when no end position scores ≤ `k`.
 ///
-/// `pattern` and `text` are non-empty and `k ≤ |pattern|`.
-fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
+/// `pattern` and `text` are non-empty and `k ≤ |pattern|`. A pattern of
+/// at most 64 bytes fits one block and keeps its `Peq` table and block
+/// state on the stack; longer patterns put them on the heap. Both run the
+/// same loop.
+fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, usize, usize)> {
     let n = pattern.len();
     let m = text.len();
     let blocks = n.div_ceil(W);
     let top = blocks - 1;
     let top_bit = (n - 1) % W; // bit of the last real pattern row
 
+    let mut word = ([[0u64; 256]; 1], [0u64; 1], [0u64; 1], [0usize; 1]);
+    let mut heap;
+    let (peq, pv, mv, bscore) = if blocks == 1 {
+        (&mut word.0[..], &mut word.1[..], &mut word.2[..], &mut word.3[..])
+    } else {
+        heap = (vec![[0u64; 256]; blocks], vec![0u64; blocks], vec![0u64; blocks], vec![0; blocks]);
+        (&mut heap.0[..], &mut heap.1[..], &mut heap.2[..], &mut heap.3[..])
+    };
+
     // Peq[b][c]: bit i set iff pattern[b*64 + i] == c.
-    let mut peq: Vec<[u64; 256]> = vec![[0u64; 256]; blocks];
     for (i, &pc) in pattern.iter().enumerate() {
         peq[i / W][pc as usize] |= 1u64 << (i % W);
     }
 
     let bot = |b: usize| ((b + 1) * W).min(n); // rows covered through block b
-    let mut pv: Vec<u64> = vec![!0u64; blocks];
-    let mut mv: Vec<u64> = vec![0u64; blocks];
+    pv.fill(!0u64);
     // bscore[b] = DP value at the bottom row of block b for the current
     // column; column 0 has D[i][0] = i.
-    let mut bscore: Vec<usize> = (0..blocks).map(bot).collect();
+    for (b, s) in bscore.iter_mut().enumerate() {
+        *s = bot(b);
+    }
 
     // Active band: blocks 0..=last are exact; every cell above is > k.
     let mut last = 0usize;
@@ -181,11 +192,13 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
     }
 
     let mut best = usize::MAX;
-    let mut ends: Vec<usize> = Vec::new();
+    // First and last column scoring `best`; `lo == usize::MAX` until a
+    // candidate is seen.
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
     // Column 0: the empty-text-prefix end position.
     if last == top && n <= k {
         best = n;
-        ends.push(0);
+        (lo, hi) = (0, 0);
     }
 
     for (j, &tc) in text.iter().enumerate() {
@@ -222,18 +235,17 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
             match s.cmp(&best) {
                 std::cmp::Ordering::Less => {
                     best = s;
-                    ends.clear();
-                    ends.push(j + 1);
+                    (lo, hi) = (j + 1, j + 1);
                     if s == 0 {
                         // No later column can beat distance 0, and the
                         // leftmost zero wins the tie-break.
-                        return Some((0, ends));
+                        return Some((0, lo, hi));
                     }
                 }
-                std::cmp::Ordering::Equal => ends.push(j + 1),
+                std::cmp::Ordering::Equal => hi = j + 1,
                 std::cmp::Ordering::Greater => {}
             }
-        } else if ends.is_empty() {
+        } else if lo == usize::MAX {
             // Tail abandon. Reactivated blocks carry scores that are only
             // exact at ≤ k, but block 0 is never dropped or reseeded, so
             // bscore[0] is the true D at its bottom row; the last row sits
@@ -248,36 +260,42 @@ fn scan(pattern: &[u8], text: &[u8], k: usize) -> Option<(usize, Vec<usize>)> {
         }
     }
 
-    if best == usize::MAX {
-        None
-    } else {
-        Some((best, ends))
-    }
+    (best != usize::MAX).then_some((best, lo, hi))
 }
 
 /// Recovers the exact winning span: runs the classic Sellers traceback on
-/// the window around the candidate end positions (every column a winning
-/// path can touch, so the windowed DP decisions match the full DP's) and
-/// applies `substring_distance`'s tie-break — minimal difference ratio,
-/// then leftmost — among the minimal-distance candidates.
-fn recover_span(pattern: &[u8], text: &[u8], d_star: usize, ends: &[usize]) -> SubstringMatch {
+/// the window around the candidate end positions `lo..=hi` (every column
+/// a winning path can touch, so the windowed DP decisions match the full
+/// DP's) and applies `substring_distance`'s tie-break — minimal
+/// difference ratio, then leftmost — among the minimal-distance
+/// candidates.
+///
+/// The candidates are the columns of `lo..=hi` whose windowed score is
+/// `d_star`. Windowed scores never undercut the full DP's (the window
+/// only removes start positions), every full-DP score is ≥ `d_star`, and
+/// at the scan's winning ends the two agree — so these are exactly the
+/// scan's winning ends.
+fn recover_span(
+    pattern: &[u8],
+    text: &[u8],
+    d_star: usize,
+    lo: usize,
+    hi: usize,
+) -> SubstringMatch {
     let n = pattern.len();
-    let lo = ends[0];
-    let hi = *ends.last().expect("at least one candidate end");
     // A winning path at end j spans columns ≥ j - n - d*; its DP decisions
     // compare cells whose values are window-exact once the window starts
     // 2n columns earlier still (cell (i, c) only depends on text starts
     // ≥ c - 2i). 3n + d* + 1 before the first candidate covers both.
     let w = lo.saturating_sub(3 * n + d_star + 1);
     let (dist, start) = final_row(pattern, &text[w..hi]);
+    debug_assert!(
+        dist[lo - w] == d_star && dist[hi - w] == d_star,
+        "windowed Sellers disagrees with bit-parallel scan"
+    );
 
     let mut best: Option<(f64, SubstringMatch)> = None;
-    for &end in ends {
-        debug_assert_eq!(
-            dist[end - w],
-            d_star,
-            "windowed Sellers disagrees with bit-parallel scan"
-        );
+    for end in (lo..=hi).filter(|&end| dist[end - w] == d_star) {
         let cand = SubstringMatch { start: start[end - w] + w, end, distance: d_star };
         let key = ratio_key(d_star, cand.len());
         if best.as_ref().is_none_or(|(bk, _)| key < *bk) {

@@ -3,25 +3,30 @@
 //! One of the "heuristics to skip implausible comparisons" the paper cites
 //! for NTI (§III-A, §VI-B). If a pattern and a text share too few q-grams,
 //! no substring of the text can be within a small edit distance of the
-//! pattern, so the quadratic Sellers computation can be skipped.
+//! pattern, so the alignment can be skipped.
 //!
 //! The bound is Ukkonen's: a single edit operation destroys at most `q`
-//! q-grams, so if `ed(p, s) <= k` for some substring `s` of `t`, then `p`
-//! and `t` share at least `(|p| - q + 1) - k·q` q-grams (counting
-//! multiplicity on the pattern side, and `t`'s grams as a superset of every
-//! substring's grams).
+//! q-grams, so if `ed(p, s) <= k` for some substring `s` of `t`, then at
+//! least `(|p| - q + 1) - k·q` of `p`'s gram positions hold a gram that
+//! also occurs in `t` (`t`'s grams are a superset of every substring's).
+//!
+//! The text side is a fixed-size [`QgramProfile`]: a 4,096-bit presence
+//! set of hashed grams, ~512 B, built without allocating. The bound counts
+//! the pattern positions whose gram's bit is set. That count is never
+//! below the exact multiset count — a gram present in the text always has
+//! its bit set, and a hash collision or a repeated gram can only add to
+//! it — so the bound may be weaker than Ukkonen's exact-count bound but
+//! is never above it, and never above the true distance.
 
-use std::collections::HashMap;
+/// Bits in a [`QgramProfile`]'s presence set.
+const BITS: usize = 4096;
 
-/// Multiset of q-grams of `s`, keyed by gram bytes.
-fn profile(s: &[u8], q: usize) -> HashMap<&[u8], usize> {
-    let mut map = HashMap::new();
-    if s.len() >= q {
-        for w in s.windows(q) {
-            *map.entry(w).or_insert(0) += 1;
-        }
-    }
-    map
+/// The presence-set slot of one gram: its bytes packed big-endian into a
+/// word (rotated in beyond 8 bytes), multiplied by a Fibonacci-hashing
+/// constant, top 12 bits.
+fn slot(gram: &[u8]) -> usize {
+    let packed = gram.iter().fold(0u64, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    (packed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BITS.trailing_zeros())) as usize
 }
 
 /// A lower bound on the edit distance between `pattern` and the
@@ -47,13 +52,26 @@ pub fn lower_bound(pattern: &[u8], text: &[u8], q: usize) -> usize {
     QgramProfile::new(text, q).lower_bound(pattern)
 }
 
-/// A text's q-gram multiset, built once and reused across many patterns.
+/// The largest bound [`lower_bound`] can return for a pattern of
+/// `pattern_len` bytes: every one of its grams missing, `⌈(|p|−q+1)/q⌉`.
 ///
-/// NTI checks every request input against the *same* intercepted query, so
-/// rebuilding the query's gram profile for each input (as the free
-/// [`lower_bound`] does) repeats the expensive half of the bound. Build a
-/// `QgramProfile` of the query once per `analyze` call and ask it for the
-/// per-input bound instead.
+/// A caller whose cutoff is at least this value can never skip the
+/// comparison and need not build a profile at all.
+pub fn max_bound(pattern_len: usize, q: usize) -> usize {
+    if q == 0 || pattern_len < q {
+        0
+    } else {
+        (pattern_len - q + 1).div_ceil(q)
+    }
+}
+
+/// A text's q-gram presence set, built once and reused across many
+/// patterns.
+///
+/// NTI checks every request input against the *same* intercepted query,
+/// so it builds one profile of the query — lazily, for the first input
+/// whose cutoff the bound could beat — and asks it for each input's
+/// bound.
 ///
 /// # Examples
 ///
@@ -66,16 +84,23 @@ pub fn lower_bound(pattern: &[u8], text: &[u8], q: usize) -> usize {
 ///     assert_eq!(profile.lower_bound(input), lower_bound(input, query, 3));
 /// }
 /// ```
-pub struct QgramProfile<'t> {
+#[derive(Debug, Clone)]
+pub struct QgramProfile {
     q: usize,
-    grams: HashMap<&'t [u8], usize>,
+    present: [u64; BITS / 64],
 }
 
-impl<'t> QgramProfile<'t> {
-    /// Builds the q-gram multiset of `text`.
-    pub fn new(text: &'t [u8], q: usize) -> Self {
-        let grams = if q == 0 { HashMap::new() } else { profile(text, q) };
-        QgramProfile { q, grams }
+impl QgramProfile {
+    /// Builds the q-gram presence set of `text`.
+    pub fn new(text: &[u8], q: usize) -> Self {
+        let mut present = [0u64; BITS / 64];
+        if q > 0 {
+            for gram in text.windows(q) {
+                let s = slot(gram);
+                present[s / 64] |= 1 << (s % 64);
+            }
+        }
+        QgramProfile { q, present }
     }
 
     /// A lower bound on the edit distance between `pattern` and the
@@ -86,15 +111,14 @@ impl<'t> QgramProfile<'t> {
         if pattern.len() < q || q == 0 {
             return 0;
         }
-        let p_grams = pattern.len() - q + 1;
-        let pp = profile(pattern, q);
-        let mut common = 0usize;
-        for (gram, &cnt) in &pp {
-            if let Some(&tcnt) = self.grams.get(gram) {
-                common += cnt.min(tcnt);
-            }
-        }
-        let missing = p_grams - common.min(p_grams);
+        let common = pattern
+            .windows(q)
+            .filter(|gram| {
+                let s = slot(gram);
+                self.present[s / 64] & (1 << (s % 64)) != 0
+            })
+            .count();
+        let missing = pattern.len() - q + 1 - common;
         missing.div_ceil(q)
     }
 }
@@ -104,8 +128,9 @@ impl<'t> QgramProfile<'t> {
 /// `pattern_len`?
 ///
 /// A pattern longer than the whole text by more than `cutoff` cannot match.
+/// Any cutoff is accepted, `usize::MAX` included.
 pub fn length_plausible(pattern_len: usize, text_len: usize, cutoff: usize) -> bool {
-    pattern_len <= text_len + cutoff
+    pattern_len <= text_len.saturating_add(cutoff)
 }
 
 #[cfg(test)]
@@ -145,6 +170,19 @@ mod tests {
     #[test]
     fn short_pattern_uninformative() {
         assert_eq!(lower_bound(b"ab", b"zzzz", 3), 0);
+        assert_eq!(lower_bound(b"abc", b"zzzz", 0), 0);
+    }
+
+    #[test]
+    fn max_bound_is_the_all_missing_bound() {
+        assert_eq!(max_bound(2, 3), 0);
+        assert_eq!(max_bound(8, 3), 2);
+        assert_eq!(max_bound(12, 3), 4);
+        assert_eq!(max_bound(5, 0), 0);
+        for len in 0..40 {
+            let p = vec![b'a'; len];
+            assert_eq!(lower_bound(&p, b"", 3), max_bound(len, 3), "len {len}");
+        }
     }
 
     #[test]
@@ -152,5 +190,6 @@ mod tests {
         assert!(length_plausible(5, 10, 0));
         assert!(length_plausible(12, 10, 2));
         assert!(!length_plausible(13, 10, 2));
+        assert!(length_plausible(usize::MAX, 10, usize::MAX));
     }
 }

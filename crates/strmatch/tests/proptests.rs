@@ -9,6 +9,7 @@ use joza_strmatch::qgram;
 use joza_strmatch::sellers::{naive_substring_distance, substring_distance};
 use joza_strmatch::swar;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Arbitrary byte strings, explicitly including non-ASCII and interior
 /// NULs — the SWAR kernels must be differentially exact on *all* bytes,
@@ -151,6 +152,31 @@ proptest! {
         prop_assert!(lb <= real, "lb {} > real {}", lb, real);
     }
 
+    /// The presence-set profile's bound never exceeds Ukkonen's exact
+    /// multiset bound, which never exceeds the true distance. A two-letter
+    /// alphabet makes grams repeat on both sides.
+    #[test]
+    fn qgram_profile_bound_chain_low_alphabet(p in "[ab]{0,48}", t in "[ab]{0,64}", q in 1usize..5) {
+        let (p, t) = (p.as_bytes(), t.as_bytes());
+        let profile = qgram::QgramProfile::new(t, q).lower_bound(p);
+        let exact = exact_qgram_bound(p, t, q);
+        let real = substring_distance(p, t).distance;
+        prop_assert!(profile <= exact, "profile {} > exact {}", profile, exact);
+        prop_assert!(exact <= real, "exact {} > real {}", exact, real);
+    }
+
+    /// The same chain on long texts, whose grams fill enough of the
+    /// 4,096-bit set that absent pattern grams collide with present ones.
+    #[test]
+    fn qgram_profile_bound_chain_long(p in "[ -~]{0,160}", t in "[ -~]{0,1500}") {
+        let (p, t) = (p.as_bytes(), t.as_bytes());
+        let profile = qgram::QgramProfile::new(t, 3).lower_bound(p);
+        let exact = exact_qgram_bound(p, t, 3);
+        let real = substring_distance(p, t).distance;
+        prop_assert!(profile <= exact, "profile {} > exact {}", profile, exact);
+        prop_assert!(exact <= real, "exact {} > real {}", exact, real);
+    }
+
     #[test]
     fn scanners_agree(
         pats in proptest::collection::vec("[a-c]{1,4}", 1..6),
@@ -263,4 +289,50 @@ proptest! {
         let second = mru.find_all(hay.as_bytes());
         prop_assert_eq!(first, second);
     }
+}
+
+/// Ukkonen's q-gram bound over exact gram multisets: the reference the
+/// presence-set [`qgram::QgramProfile`] is checked against.
+fn exact_qgram_bound(p: &[u8], t: &[u8], q: usize) -> usize {
+    if q == 0 || p.len() < q {
+        return 0;
+    }
+    let mut text_grams: HashMap<&[u8], usize> = HashMap::new();
+    for g in t.windows(q) {
+        *text_grams.entry(g).or_default() += 1;
+    }
+    let mut common = 0;
+    for g in p.windows(q) {
+        if let Some(n) = text_grams.get_mut(g).filter(|n| **n > 0) {
+            *n -= 1;
+            common += 1;
+        }
+    }
+    (p.len() - q + 1 - common).div_ceil(q)
+}
+
+/// Both families above really exercise a weaker bound: repeated grams
+/// (low alphabet) and hash collisions (long texts) each make the profile
+/// bound fall strictly below the exact one on some inputs.
+#[test]
+fn qgram_profile_bound_is_weaker_through_repeats_and_collisions() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut gen = |alphabet: &[u8], len: usize| -> Vec<u8> {
+        (0..len).map(|_| alphabet[rng.random_range(0..alphabet.len())]).collect()
+    };
+    let printable: Vec<u8> = (b' '..=b'~').collect();
+    let (mut repeats, mut collisions) = (0, 0);
+    for _ in 0..200 {
+        let (p, t) = (gen(b"ab", 24), gen(b"ab", 6));
+        if qgram::lower_bound(&p, &t, 3) < exact_qgram_bound(&p, &t, 3) {
+            repeats += 1;
+        }
+        let (p, t) = (gen(&printable, 40), gen(&printable, 1500));
+        if qgram::lower_bound(&p, &t, 3) < exact_qgram_bound(&p, &t, 3) {
+            collisions += 1;
+        }
+    }
+    assert!(repeats > 0 && collisions > 0, "repeats {repeats}, collisions {collisions}");
 }

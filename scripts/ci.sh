@@ -48,6 +48,18 @@ cargo test -q -p joza-sqlparse --lib nesting
 cargo test -q -p joza-db --test depth_limit
 cargo test -q -p joza-db --test alloc_bound
 
+# NTI stage, explicitly: every (inputs, query) pair the testbed issues
+# must produce the golden recording's markings and critical tokens (and
+# the Classic kernel, the prefilter-off analyzer and the engine's NTI
+# stage must agree with it); a warm NTI-only check whose inputs mark
+# nothing must not allocate; and the fixed-size q-gram prefilter must
+# never change a marking, with its bound below Ukkonen's exact one.
+echo "==> nti golden differential, allocation-free NTI stage, prefilter proptests"
+cargo test -q -p joza-lab --test nti_golden
+cargo test -q --test alloc_free warm_nti_stage
+cargo test -q -p joza-nti --test proptests prefilter
+cargo test -q -p joza-strmatch --test proptests qgram_profile
+
 # Thread-scaling smoke over the batch-first serving API: verdicts must be
 # bit-identical to single-threaded at every thread count, the deploy-
 # under-load pass must conserve every counter across the mid-run swaps,

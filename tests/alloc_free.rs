@@ -130,3 +130,57 @@ fn warm_batch_amortizes_to_constant_allocations() {
     // per query: well under one allocation per check.
     assert!(delta < 8, "64-query warm batch allocated {delta} times");
 }
+
+#[test]
+fn warm_nti_stage_is_allocation_free_when_no_marking_fires() {
+    use joza::nti::{NtiAnalyzer, NtiConfig};
+
+    let joza = Joza::builder()
+        .fragments(["SELECT option_value FROM wp_options WHERE option_name="])
+        .config(JozaConfig::nti_only())
+        .build();
+    // Request inputs of 3 to 64 bytes — short, mixed-case, long enough
+    // for the q-gram prefilter, and exactly one bit-vector word — none
+    // of which occurs in the checked queries.
+    let inputs = [
+        "utm",
+        "Summer-Sale",
+        "visitor12 says: great post!",
+        "an input long enough to build the q-gram prefilter profile",
+        "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!?",
+    ];
+    assert_eq!(inputs[4].len(), 64);
+    let queries = [
+        "SELECT option_value FROM wp_options WHERE option_name='siteurl' LIMIT 1",
+        "SELECT * FROM wp_posts WHERE post_status = 'publish' ORDER BY post_date DESC LIMIT 10",
+        "SELECT t.*, tt.* FROM wp_terms AS t INNER JOIN wp_term_taxonomy AS tt ON t.term_id = tt.term_id WHERE tt.taxonomy IN ('category') ORDER BY t.name ASC",
+        "SELECT COUNT(*) FROM wp_comments WHERE comment_post_ID = 7 AND comment_approved = '1'",
+    ];
+    let reference = NtiAnalyzer::new(NtiConfig::default());
+    for q in queries {
+        let r = reference.analyze(&inputs, q);
+        assert!(r.markings.is_empty(), "the test needs queries no input marks: {q} {r:?}");
+    }
+
+    // Warmup: the arena buffers reach their high-water mark.
+    for _ in 0..2 {
+        for q in queries {
+            let v = joza.check_query(&inputs, q);
+            assert_eq!(v.nti_attack(), Some(false), "{q}");
+        }
+    }
+
+    let before = allocs_on_this_thread();
+    for _ in 0..16 {
+        for q in queries {
+            let v = joza.check_query(&inputs, q);
+            assert!(v.is_safe());
+            assert_eq!(v.nti_attack(), Some(false));
+        }
+    }
+    let delta = allocs_on_this_thread() - before;
+    assert_eq!(
+        delta, 0,
+        "warm NTI checks without markings must not allocate ({delta} allocations)"
+    );
+}
