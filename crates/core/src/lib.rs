@@ -34,9 +34,7 @@
 //! * [`Joza::deploy`] — hot-swap the static query models and taint-free
 //!   whitelist under live traffic, without rebuilding the engine;
 //! * [`Joza::install`] / [`Joza::installer`] — the installer: extract
-//!   string fragments from every source file of a [`WebApp`];
-//! * [`shim`] — the deprecated legacy single-worker gate adapter, kept
-//!   only for old integrations and equivalence testing.
+//!   string fragments from every source file of a [`WebApp`].
 //!
 //! # Concurrency
 //!
@@ -77,7 +75,6 @@
 pub mod arena;
 pub mod artifacts;
 pub mod pipeline;
-pub mod shim;
 mod stats;
 
 pub use artifacts::QueryArtifacts;
@@ -755,8 +752,8 @@ impl Joza {
         verdict
     }
 
-    /// The one check core: every session, gate, batch and legacy-shim
-    /// check funnels here and drives the deployment's assembled pipeline.
+    /// The one check core: every session, gate and batch check funnels
+    /// here and drives the deployment's assembled pipeline.
     /// Statistics are accumulated into `stats` (a plain local delta) so
     /// batch callers can merge many checks and flush once.
     pub(crate) fn check_in(
@@ -885,12 +882,6 @@ impl Joza {
         if !verdict.safe {
             stats.attacks += 1;
         }
-        stats.nti_time += Duration::from_nanos(cx.stage_ns[StageId::Nti.index()]);
-        stats.pti_time += Duration::from_nanos(cx.stage_ns[StageId::Pti.index()]);
-    }
-
-    pub(crate) fn begin_request_inner(&self) {
-        self.shard().lock().begin_request();
     }
 
     pub(crate) fn decide(&self, verdict: &Verdict) -> GateDecision {
@@ -1276,7 +1267,7 @@ impl GateFactory for Joza {
     fn session<'a>(&'a self, route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
         // Per-request PTI lifecycle (daemon spawn in PerRequest mode) on
         // the calling worker's shard.
-        self.begin_request_inner();
+        self.shard().lock().begin_request();
         let mut session = self.session_for(route);
         for input in inputs {
             session.capture_input(&input.name, &input.value);

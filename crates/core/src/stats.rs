@@ -26,7 +26,7 @@
 //!
 //! [`JozaStats`]: crate::JozaStats
 
-use crate::{JozaStats, STAGE_COUNT};
+use crate::{JozaStats, StageId, STAGE_COUNT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -40,8 +40,6 @@ pub(crate) struct StatsCell {
     attacks: AtomicU64,
     nti_detections: AtomicU64,
     pti_detections: AtomicU64,
-    nti_time_ns: AtomicU64,
-    pti_time_ns: AtomicU64,
     model_fast_hits: AtomicU64,
     static_hits: AtomicU64,
     full_checks: AtomicU64,
@@ -82,14 +80,6 @@ impl StatsCell {
             route_misses_unknown,
             route_misses_incomplete,
         );
-        let nti_ns = delta.nti_time.as_nanos() as u64;
-        if nti_ns != 0 {
-            self.nti_time_ns.fetch_add(nti_ns, Ordering::Relaxed);
-        }
-        let pti_ns = delta.pti_time.as_nanos() as u64;
-        if pti_ns != 0 {
-            self.pti_time_ns.fetch_add(pti_ns, Ordering::Relaxed);
-        }
         for i in 0..STAGE_COUNT {
             if delta.stage_runs[i] != 0 {
                 self.stage_runs[i].fetch_add(delta.stage_runs[i], Ordering::Relaxed);
@@ -103,15 +93,15 @@ impl StatsCell {
         }
     }
 
-    /// Reads the cell into a plain [`JozaStats`].
+    /// Reads the cell into a plain [`JozaStats`]. `nti_time`/`pti_time`
+    /// are views of the NTI and PTI entries of `stage_ns`, which is the
+    /// only place stage time is counted.
     pub(crate) fn snapshot(&self) -> JozaStats {
         let mut out = JozaStats {
             queries: self.queries.load(Ordering::Relaxed),
             attacks: self.attacks.load(Ordering::Relaxed),
             nti_detections: self.nti_detections.load(Ordering::Relaxed),
             pti_detections: self.pti_detections.load(Ordering::Relaxed),
-            nti_time: Duration::from_nanos(self.nti_time_ns.load(Ordering::Relaxed)),
-            pti_time: Duration::from_nanos(self.pti_time_ns.load(Ordering::Relaxed)),
             model_fast_hits: self.model_fast_hits.load(Ordering::Relaxed),
             static_hits: self.static_hits.load(Ordering::Relaxed),
             full_checks: self.full_checks.load(Ordering::Relaxed),
@@ -125,6 +115,8 @@ impl StatsCell {
             out.stage_hits[i] = self.stage_hits[i].load(Ordering::Relaxed);
             out.stage_ns[i] = self.stage_ns[i].load(Ordering::Relaxed);
         }
+        out.nti_time = Duration::from_nanos(out.stage_ns[StageId::Nti.index()]);
+        out.pti_time = Duration::from_nanos(out.stage_ns[StageId::Pti.index()]);
         out
     }
 }
@@ -132,7 +124,6 @@ impl StatsCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StageId;
 
     #[test]
     fn add_then_snapshot_round_trips() {
@@ -140,7 +131,7 @@ mod tests {
         let mut delta = JozaStats { queries: 3, attacks: 1, ..JozaStats::default() };
         delta.full_checks = 2;
         delta.model_fast_hits = 1;
-        delta.nti_time = Duration::from_nanos(250);
+        delta.stage_ns[StageId::Nti.index()] = 250;
         delta.stage_runs[StageId::Nti.index()] = 2;
         delta.stage_ns[StageId::Pti.index()] = 99;
         cell.add(&delta);
@@ -149,6 +140,7 @@ mod tests {
         assert_eq!(snap.queries, 6);
         assert_eq!(snap.attacks, 2);
         assert_eq!(snap.model_fast_hits + snap.static_hits + snap.full_checks, snap.queries);
+        assert_eq!(snap.nti_time, Duration::from_nanos(snap.stage_ns[StageId::Nti.index()]));
         assert_eq!(snap.nti_time, Duration::from_nanos(500));
         assert_eq!(snap.stage_runs[StageId::Nti.index()], 4);
         assert_eq!(snap.stage_ns[StageId::Pti.index()], 198);

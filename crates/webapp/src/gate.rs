@@ -9,21 +9,12 @@
 //! the web application to preserve them for NTI analysis" (§IV-B), i.e.
 //! *before* magic quotes or other transformations run.
 //!
-//! Two API generations coexist here:
-//!
-//! * [`GateFactory`] / [`GateSession`] — the current, multi-worker API.
-//!   One shared, immutable factory (`&self`) hands out an independent
-//!   session per request; all per-request mutability lives in the session,
-//!   so N server threads can drive one engine concurrently.
-//! * [`QueryGate`] — the legacy single-worker API: one stateful object
-//!   driven through `begin_route`/`begin_request`/`check` on `&mut self`.
-//!   [`LegacyGateSession`] adapts any `QueryGate` into a session so old
-//!   gates keep working behind [`Server::handle_gated`].
-//!
-//! [`Server::handle_gated`]: crate::server::Server::handle_gated
+//! [`GateFactory`] / [`GateSession`] is the gate API: one shared,
+//! immutable factory (`&self`) hands out an independent session per
+//! request; all per-request mutability lives in the session, so N server
+//! threads can drive one engine concurrently.
 
 use crate::request::InputSource;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A raw (pre-transformation) request input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,73 +85,16 @@ pub trait GateSession {
 /// The factory is consulted through `&self` and must be [`Sync`]: one
 /// instance serves every server worker. Per-request state (the input
 /// snapshot NTI analyzes, a fast-path route decision, …) is captured at
-/// session creation — the factory-side analogue of the legacy
-/// `begin_route` + `begin_request` pair.
+/// session creation.
 pub trait GateFactory: Sync {
     /// Opens a session for one request targeting `route` with the given
     /// raw (pre-transformation) inputs.
     fn session<'a>(&'a self, route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a>;
 }
 
-/// A protection system sitting between the application and the DBMS —
-/// the **legacy single-worker API**.
-///
-/// New code should implement [`GateFactory`]; this trait remains for
-/// stateful gates driven by one thread (and for the tests that exercise
-/// them). [`LegacyGateSession`] bridges the two worlds.
-pub trait QueryGate {
-    /// Called once per request, before [`QueryGate::begin_request`], with
-    /// the route (endpoint) the request targets. Default: ignored — only
-    /// route-aware gates such as [`StaticFastPath`] care.
-    fn begin_route(&mut self, _route: &str) {}
-
-    /// Called once per request with the raw inputs, before any application
-    /// code runs.
-    fn begin_request(&mut self, inputs: &[RawInput]);
-
-    /// Called for every intercepted query. The returned decision is
-    /// enforced by the server.
-    fn check(&mut self, sql: &str) -> GateDecision;
-}
-
-/// Adapts a legacy [`QueryGate`] into a [`GateSession`].
-///
-/// [`LegacyGateSession::begin`] performs the old per-request handshake
-/// (`begin_route` then `begin_request`) and the resulting session forwards
-/// `check`. This is how [`Server::handle_gated`] keeps accepting old-style
-/// gates on top of the session-driven pipeline.
-///
-/// [`Server::handle_gated`]: crate::server::Server::handle_gated
-pub struct LegacyGateSession<'a> {
-    gate: &'a mut dyn QueryGate,
-}
-
-impl<'a> LegacyGateSession<'a> {
-    /// Runs the legacy per-request handshake on `gate` and wraps it.
-    pub fn begin(gate: &'a mut dyn QueryGate, route: &str, inputs: &[RawInput]) -> Self {
-        gate.begin_route(route);
-        gate.begin_request(inputs);
-        LegacyGateSession { gate }
-    }
-}
-
-impl GateSession for LegacyGateSession<'_> {
-    fn check(&mut self, sql: &str) -> GateDecision {
-        self.gate.check(sql)
-    }
-}
-
 /// A gate that allows everything (the unprotected baseline).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllowAll;
-
-impl QueryGate for AllowAll {
-    fn begin_request(&mut self, _inputs: &[RawInput]) {}
-
-    fn check(&mut self, _sql: &str) -> GateDecision {
-        GateDecision::Allow
-    }
-}
 
 impl GateSession for AllowAll {
     fn check(&mut self, _sql: &str) -> GateDecision {
@@ -174,337 +108,13 @@ impl GateFactory for AllowAll {
     }
 }
 
-/// Counters describing how often the static fast path fired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastPathStats {
-    /// Requests that hit a statically taint-free route.
-    pub fast_requests: u64,
-    /// Requests that fell through to the wrapped dynamic gate.
-    pub slow_requests: u64,
-    /// Queries short-circuited to `Allow` without dynamic analysis.
-    pub fast_queries: u64,
-    /// Queries checked by the wrapped dynamic gate.
-    pub slow_queries: u64,
-}
-
-/// Lock-free counter cell behind [`FastPathStats`], shared by all sessions
-/// of one [`StaticFastPath`].
-#[derive(Debug, Default)]
-struct SharedFastPathStats {
-    fast_requests: AtomicU64,
-    slow_requests: AtomicU64,
-    fast_queries: AtomicU64,
-    slow_queries: AtomicU64,
-}
-
-impl SharedFastPathStats {
-    fn count_request(&self, fast: bool) {
-        if fast {
-            self.fast_requests.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.slow_requests.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn count_query(&self, fast: bool) {
-        if fast {
-            self.fast_queries.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.slow_queries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> FastPathStats {
-        FastPathStats {
-            fast_requests: self.fast_requests.load(Ordering::Relaxed),
-            slow_requests: self.slow_requests.load(Ordering::Relaxed),
-            fast_queries: self.fast_queries.load(Ordering::Relaxed),
-            slow_queries: self.slow_queries.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A static-analysis fast path in front of a dynamic gate.
-///
-/// Holds the set of routes a static taint pass (`joza-sast`) proved
-/// *taint-free*: no query issued by the route can carry
-/// attacker-influenced bytes. For those routes `check` returns
-/// [`GateDecision::Allow`] immediately, skipping NTI/PTI entirely; every
-/// other route is delegated to the wrapped gate untouched.
-///
-/// Soundness rests on the analysis side: a route may only be listed here
-/// if *every* query it can issue is provably free of request-derived
-/// data, so the skipped dynamic analysis could never have found an
-/// attack. Inputs are always forwarded to the wrapped gate — its
-/// per-request input snapshot stays consistent even on fast-path
-/// requests (the route decision can be revised per request, and NTI
-/// needs the inputs if it ever runs).
-///
-/// Works in both API generations: wrap a [`QueryGate`] and it is a
-/// `QueryGate`; wrap a [`GateFactory`] and it is a `GateFactory` whose
-/// sessions short-circuit per request. Counters are atomic, so one
-/// factory-side wrapper serves all workers.
-#[derive(Debug)]
-pub struct StaticFastPath<G> {
-    inner: G,
-    taint_free: std::collections::BTreeSet<String>,
-    current_fast: bool,
-    stats: SharedFastPathStats,
-}
-
-impl<G> StaticFastPath<G> {
-    /// Wraps `inner`, short-circuiting the routes in `taint_free_routes`.
-    pub fn new(inner: G, taint_free_routes: impl IntoIterator<Item = String>) -> Self {
-        StaticFastPath {
-            inner,
-            taint_free: taint_free_routes.into_iter().collect(),
-            current_fast: false,
-            stats: SharedFastPathStats::default(),
-        }
-    }
-
-    /// The wrapped dynamic gate.
-    pub fn inner(&self) -> &G {
-        &self.inner
-    }
-
-    /// Fast/slow request and query counters (a consistent snapshot).
-    pub fn stats(&self) -> FastPathStats {
-        self.stats.snapshot()
-    }
-
-    /// Whether `route` is on the static fast path.
-    pub fn is_taint_free(&self, route: &str) -> bool {
-        self.taint_free.contains(route)
-    }
-}
-
-impl<G: QueryGate> QueryGate for StaticFastPath<G> {
-    fn begin_route(&mut self, route: &str) {
-        // Route classification only — requests are counted when one
-        // actually begins, so a begin_route with no request behind it
-        // can't drift the stats away from real traffic.
-        self.current_fast = self.taint_free.contains(route);
-        self.inner.begin_route(route);
-    }
-
-    fn begin_request(&mut self, inputs: &[RawInput]) {
-        self.stats.count_request(self.current_fast);
-        // Always forwarded: the inner gate's input snapshot must stay
-        // request-accurate even when this request never consults it.
-        self.inner.begin_request(inputs);
-    }
-
-    fn check(&mut self, sql: &str) -> GateDecision {
-        self.stats.count_query(self.current_fast);
-        if self.current_fast {
-            return GateDecision::Allow;
-        }
-        self.inner.check(sql)
-    }
-}
-
-/// One request's view of a [`StaticFastPath`] factory.
-struct FastPathSession<'a> {
-    fast: bool,
-    stats: &'a SharedFastPathStats,
-    inner: Box<dyn GateSession + 'a>,
-}
-
-impl GateSession for FastPathSession<'_> {
-    fn check(&mut self, sql: &str) -> GateDecision {
-        self.stats.count_query(self.fast);
-        if self.fast {
-            return GateDecision::Allow;
-        }
-        self.inner.check(sql)
-    }
-
-    // Second-order hooks are forwarded unconditionally: a route on the
-    // fast path was proven taint-free *including* DB-sourced taint, so
-    // the inner gate will simply never see a dirty fetch there.
-    fn dirty_cell(&self, table: &str, column: &str) -> bool {
-        self.inner.dirty_cell(table, column)
-    }
-
-    fn capture_db_input(&mut self, table: &str, column: &str, value: &str) {
-        self.inner.capture_db_input(table, column, value);
-    }
-}
-
-impl<F: GateFactory> GateFactory for StaticFastPath<F> {
-    fn session<'a>(&'a self, route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
-        let fast = self.taint_free.contains(route);
-        self.stats.count_request(fast);
-        // The inner session is always opened so the wrapped engine's
-        // input snapshot stays request-accurate (see type docs).
-        Box::new(FastPathSession {
-            fast,
-            stats: &self.stats,
-            inner: self.inner.session(route, inputs),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn allow_all_is_transparent() {
-        let mut g = AllowAll;
-        QueryGate::begin_request(&mut g, &[]);
-        assert_eq!(QueryGate::check(&mut g, "SELECT 1"), GateDecision::Allow);
         let mut s = AllowAll.session("any", &[]);
         assert_eq!(s.check("SELECT * FROM users WHERE 1=1 OR 1=1"), GateDecision::Allow);
-    }
-
-    /// A dynamic gate that denies everything and counts how often it was
-    /// actually consulted.
-    struct CountingDeny {
-        begin_requests: usize,
-        checks: usize,
-    }
-
-    impl QueryGate for CountingDeny {
-        fn begin_request(&mut self, _inputs: &[RawInput]) {
-            self.begin_requests += 1;
-        }
-        fn check(&mut self, _sql: &str) -> GateDecision {
-            self.checks += 1;
-            GateDecision::Terminate
-        }
-    }
-
-    #[test]
-    fn fast_path_short_circuits_taint_free_routes() {
-        let inner = CountingDeny { begin_requests: 0, checks: 0 };
-        let mut g = StaticFastPath::new(inner, vec!["clean".to_string()]);
-
-        g.begin_route("clean");
-        g.begin_request(&[]);
-        assert_eq!(g.check("SELECT 1"), GateDecision::Allow);
-        assert_eq!(g.check("SELECT 2"), GateDecision::Allow);
-        assert_eq!(g.inner().checks, 0, "dynamic gate must not run on the fast path");
-        assert_eq!(g.inner().begin_requests, 1, "inputs are still forwarded");
-
-        g.begin_route("dirty");
-        g.begin_request(&[]);
-        assert_eq!(g.check("SELECT 3"), GateDecision::Terminate);
-        assert_eq!(g.inner().checks, 1);
-
-        let stats = g.stats();
-        assert_eq!(stats.fast_requests, 1);
-        assert_eq!(stats.slow_requests, 1);
-        assert_eq!(stats.fast_queries, 2);
-        assert_eq!(stats.slow_queries, 1);
-    }
-
-    #[test]
-    fn fast_path_defaults_to_slow_without_begin_route() {
-        // A caller that never announces the route gets full dynamic
-        // protection — the conservative default.
-        let inner = CountingDeny { begin_requests: 0, checks: 0 };
-        let mut g = StaticFastPath::new(inner, vec!["clean".to_string()]);
-        g.begin_request(&[]);
-        assert_eq!(g.check("SELECT 1"), GateDecision::Terminate);
-    }
-
-    #[test]
-    fn fast_path_route_decision_resets_per_request() {
-        let inner = CountingDeny { begin_requests: 0, checks: 0 };
-        let mut g = StaticFastPath::new(inner, vec!["clean".to_string()]);
-        g.begin_route("clean");
-        assert_eq!(g.check("SELECT 1"), GateDecision::Allow);
-        // Next request targets a different route: fast flag must not leak.
-        g.begin_route("other");
-        assert_eq!(g.check("SELECT 1"), GateDecision::Terminate);
-        assert!(g.is_taint_free("clean"));
-        assert!(!g.is_taint_free("other"));
-    }
-
-    #[test]
-    fn begin_route_alone_does_not_count_requests() {
-        // Routing probes with no request behind them (health checks,
-        // abandoned connections) must not drift the request counters.
-        let inner = CountingDeny { begin_requests: 0, checks: 0 };
-        let mut g = StaticFastPath::new(inner, vec!["clean".to_string()]);
-        g.begin_route("clean");
-        g.begin_route("dirty");
-        g.begin_route("clean");
-        let stats = g.stats();
-        assert_eq!(stats.fast_requests, 0);
-        assert_eq!(stats.slow_requests, 0);
-        g.begin_request(&[]);
-        assert_eq!(g.stats().fast_requests, 1);
-        assert_eq!(g.stats().slow_requests, 0);
-    }
-
-    /// A factory that denies everything, counting sessions and checks.
-    #[derive(Default)]
-    struct DenyFactory {
-        sessions: std::sync::atomic::AtomicUsize,
-        checks: std::sync::atomic::AtomicUsize,
-    }
-
-    struct DenySession<'a>(&'a DenyFactory);
-
-    impl GateSession for DenySession<'_> {
-        fn check(&mut self, _sql: &str) -> GateDecision {
-            self.0.checks.fetch_add(1, Ordering::Relaxed);
-            GateDecision::Terminate
-        }
-    }
-
-    impl GateFactory for DenyFactory {
-        fn session<'a>(&'a self, _route: &str, _inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
-            self.sessions.fetch_add(1, Ordering::Relaxed);
-            Box::new(DenySession(self))
-        }
-    }
-
-    #[test]
-    fn factory_fast_path_short_circuits_per_session() {
-        let g = StaticFastPath::new(DenyFactory::default(), vec!["clean".to_string()]);
-
-        let mut fast = g.session("clean", &[]);
-        assert_eq!(fast.check("SELECT 1"), GateDecision::Allow);
-        assert_eq!(fast.check("SELECT 2"), GateDecision::Allow);
-        drop(fast);
-        assert_eq!(g.inner().checks.load(Ordering::Relaxed), 0);
-        assert_eq!(g.inner().sessions.load(Ordering::Relaxed), 1, "inner session still opened");
-
-        let mut slow = g.session("dirty", &[]);
-        assert_eq!(slow.check("SELECT 3"), GateDecision::Terminate);
-        drop(slow);
-        assert_eq!(g.inner().checks.load(Ordering::Relaxed), 1);
-
-        let stats = g.stats();
-        assert_eq!(stats.fast_requests, 1);
-        assert_eq!(stats.slow_requests, 1);
-        assert_eq!(stats.fast_queries, 2);
-        assert_eq!(stats.slow_queries, 1);
-    }
-
-    #[test]
-    fn factory_sessions_are_independent() {
-        // Two live sessions of one factory must not share the fast flag.
-        let g = StaticFastPath::new(DenyFactory::default(), vec!["clean".to_string()]);
-        let mut a = g.session("clean", &[]);
-        let mut b = g.session("dirty", &[]);
-        assert_eq!(a.check("SELECT 1"), GateDecision::Allow);
-        assert_eq!(b.check("SELECT 1"), GateDecision::Terminate);
-        assert_eq!(a.check("SELECT 2"), GateDecision::Allow);
-    }
-
-    #[test]
-    fn legacy_adapter_runs_handshake_and_forwards_checks() {
-        let mut inner = CountingDeny { begin_requests: 0, checks: 0 };
-        {
-            let mut s = LegacyGateSession::begin(&mut inner, "route", &[]);
-            assert_eq!(s.check("SELECT 1"), GateDecision::Terminate);
-        }
-        assert_eq!(inner.begin_requests, 1);
-        assert_eq!(inner.checks, 1);
     }
 }

@@ -2,9 +2,7 @@
 //! query, execute against the database.
 
 use crate::app::WebApp;
-use crate::gate::{
-    AllowAll, GateDecision, GateFactory, GateSession, LegacyGateSession, QueryGate, RawInput,
-};
+use crate::gate::{AllowAll, GateDecision, GateFactory, GateSession, RawInput};
 use crate::request::HttpRequest;
 use joza_db::{Database, DbError};
 use joza_phpsim::interp::{Host, Interp, PhpError, QueryOutcome};
@@ -108,34 +106,12 @@ impl Server {
     /// protection engine.
     pub fn handle_with(&mut self, request: &HttpRequest, factory: &dyn GateFactory) -> Response {
         let started = Instant::now();
-        // Preprocessing: hand the gate the *raw* inputs (§IV-B).
+        // 1. Preprocessing: hand the gate the *raw* inputs (§IV-B).
         let raw = raw_inputs(request);
         let gate_t0 = Instant::now();
         let mut session = factory.session(&request.path, &raw);
-        let gate_time = gate_t0.elapsed();
-        self.run_session(request, session.as_mut(), started, gate_time)
-    }
+        let mut gate_time = gate_t0.elapsed();
 
-    /// Handles a request with every query routed through a legacy
-    /// [`QueryGate`], via the [`LegacyGateSession`] adapter.
-    pub fn handle_gated(&mut self, request: &HttpRequest, gate: &mut dyn QueryGate) -> Response {
-        let started = Instant::now();
-        let raw = raw_inputs(request);
-        let gate_t0 = Instant::now();
-        let mut session = LegacyGateSession::begin(gate, &request.path, &raw);
-        let gate_time = gate_t0.elapsed();
-        self.run_session(request, &mut session, started, gate_time)
-    }
-
-    /// The gated request pipeline, generic over where the session came
-    /// from. `gate_time` carries the session-creation cost already paid.
-    fn run_session(
-        &mut self,
-        request: &HttpRequest,
-        gate: &mut dyn GateSession,
-        started: Instant,
-        mut gate_time: Duration,
-    ) -> Response {
         // 2. Apply the framework input pipeline and populate superglobals.
         let pipeline = self.app.input_pipeline.clone();
         let extra = self.app.plugin(&request.path).map(|p| p.extra_transforms.clone());
@@ -168,7 +144,7 @@ impl Server {
         let db_t0 = self.db.clock_ms();
         let mut host = GatedHost {
             db: &mut self.db,
-            gate,
+            gate: session.as_mut(),
             queries: Vec::new(),
             executed: 0,
             gate_time: Duration::ZERO,
@@ -488,17 +464,37 @@ mod tests {
         assert_eq!(resp.body, "saved");
     }
 
+    /// A gate that answers every query with one fixed decision and
+    /// records the raw inputs each session was opened with.
+    struct Fixed {
+        decision: GateDecision,
+        inputs: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl Fixed {
+        fn new(decision: GateDecision) -> Self {
+            Fixed { decision, inputs: Default::default() }
+        }
+    }
+
+    impl GateSession for GateDecision {
+        fn check(&mut self, _sql: &str) -> GateDecision {
+            *self
+        }
+    }
+
+    impl GateFactory for Fixed {
+        fn session<'a>(&'a self, _route: &str, inputs: &[RawInput]) -> Box<dyn GateSession + 'a> {
+            *self.inputs.lock().unwrap() = inputs.iter().map(|i| i.value.clone()).collect();
+            Box::new(self.decision)
+        }
+    }
+
     #[test]
     fn terminate_gate_blanks_page() {
-        struct DenyAll;
-        impl QueryGate for DenyAll {
-            fn begin_request(&mut self, _inputs: &[RawInput]) {}
-            fn check(&mut self, _sql: &str) -> GateDecision {
-                GateDecision::Terminate
-            }
-        }
         let mut s = demo_server();
-        let resp = s.handle_gated(&HttpRequest::get("show-post").param("id", "1"), &mut DenyAll);
+        let gate = Fixed::new(GateDecision::Terminate);
+        let resp = s.handle_with(&HttpRequest::get("show-post").param("id", "1"), &gate);
         assert!(resp.blocked);
         assert_eq!(resp.body, "");
         assert_eq!(resp.executed, 0);
@@ -507,15 +503,9 @@ mod tests {
 
     #[test]
     fn error_virtualization_lets_app_handle_it() {
-        struct Virtualize;
-        impl QueryGate for Virtualize {
-            fn begin_request(&mut self, _inputs: &[RawInput]) {}
-            fn check(&mut self, _sql: &str) -> GateDecision {
-                GateDecision::ErrorVirtualize
-            }
-        }
         let mut s = demo_server();
-        let resp = s.handle_gated(&HttpRequest::get("show-post").param("id", "1"), &mut Virtualize);
+        let gate = Fixed::new(GateDecision::ErrorVirtualize);
+        let resp = s.handle_with(&HttpRequest::get("show-post").param("id", "1"), &gate);
         assert!(!resp.blocked);
         assert!(resp.body.contains("DB error"));
     }
@@ -564,20 +554,11 @@ mod tests {
 
     #[test]
     fn gate_sees_raw_inputs_before_transforms() {
-        struct Capture(Vec<String>);
-        impl QueryGate for Capture {
-            fn begin_request(&mut self, inputs: &[RawInput]) {
-                self.0 = inputs.iter().map(|i| i.value.clone()).collect();
-            }
-            fn check(&mut self, _sql: &str) -> GateDecision {
-                GateDecision::Allow
-            }
-        }
         let mut s = demo_server();
-        let mut gate = Capture(Vec::new());
-        s.handle_gated(&HttpRequest::get("show-post").param("id", "it's raw"), &mut gate);
+        let gate = Fixed::new(GateDecision::Allow);
+        s.handle_with(&HttpRequest::get("show-post").param("id", "it's raw"), &gate);
         // Magic quotes would have produced `it\'s raw`; the gate must see
         // the original.
-        assert_eq!(gate.0, ["it's raw"]);
+        assert_eq!(*gate.inputs.lock().unwrap(), ["it's raw"]);
     }
 }
