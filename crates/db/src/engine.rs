@@ -1,9 +1,18 @@
 //! The database engine facade.
 
+use crate::plan::{PlanCache, PlanCacheStats, Shape};
 use crate::table::Table;
-use joza_sqlparse::{parse, ParseError, Statement, Value};
+use joza_sqlparse::{ParseError, Statement, Value};
 use std::collections::HashMap;
 use std::fmt;
+
+/// The most rows one statement may visit — table scans, join pairs and
+/// the scans its subqueries run, counted each time they run. Nested
+/// correlated subqueries multiply: `EXISTS` nested 31 levels over a
+/// 2-row table would visit 2^32 rows. Past the budget the statement
+/// fails with [`DbError::WorkBudgetExceeded`] instead of hanging the
+/// request. No statement of the testbed visits more than a few hundred.
+pub const ROW_BUDGET: u64 = 100_000;
 
 /// An error from query execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,6 +30,8 @@ pub enum DbError {
         /// Column count of the offending arm.
         right: usize,
     },
+    /// The statement visited more than [`ROW_BUDGET`] rows.
+    WorkBudgetExceeded,
     /// An XPATH error raised by `EXTRACTVALUE`/`UPDATEXML` — the channel
     /// error-based injections exfiltrate through. The message embeds the
     /// evaluated argument, exactly like MySQL's `XPATH syntax error`.
@@ -39,6 +50,9 @@ impl fmt::Display for DbError {
                 f,
                 "the used SELECT statements have a different number of columns ({left} vs {right})"
             ),
+            DbError::WorkBudgetExceeded => {
+                write!(f, "query execution was interrupted: more than {ROW_BUDGET} rows visited")
+            }
             DbError::Xpath(s) => write!(f, "XPATH syntax error: '{s}'"),
             DbError::Other(m) => f.write_str(m),
         }
@@ -79,14 +93,29 @@ pub(crate) struct SideEffects {
     pub sleep_ms: u64,
     /// Deterministic RAND() state.
     pub rand_state: u64,
+    /// Rows visited so far, against [`ROW_BUDGET`].
+    pub rows_visited: u64,
 }
 
-/// An in-memory database: named tables plus a virtual clock.
+impl SideEffects {
+    /// Charges `rows` visited rows to the statement's budget.
+    pub fn visit(&mut self, rows: usize) -> Result<(), DbError> {
+        self.rows_visited = self.rows_visited.saturating_add(rows as u64);
+        if self.rows_visited > ROW_BUDGET {
+            return Err(DbError::WorkBudgetExceeded);
+        }
+        Ok(())
+    }
+}
+
+/// An in-memory database: named tables, a virtual clock, and a cache of
+/// the statement shapes it has parsed.
 #[derive(Debug, Default)]
 pub struct Database {
-    pub(crate) tables: HashMap<String, Table>,
+    tables: HashMap<String, Table>,
     clock_ms: u64,
     queries_executed: u64,
+    plans: PlanCache,
 }
 
 impl Database {
@@ -95,9 +124,11 @@ impl Database {
         Database::default()
     }
 
-    /// Creates (or replaces) a table.
+    /// Creates (or replaces) a table. Cached plans are dropped: their
+    /// origins and column names were read from the old schema.
     pub fn create_table(&mut self, name: &str, columns: &[&str]) {
         self.tables.insert(name.to_ascii_lowercase(), Table::new(name, columns));
+        self.plans.clear();
     }
 
     /// Appends a row to a table, padding to the schema.
@@ -107,15 +138,22 @@ impl Database {
     /// Panics if the table does not exist — table setup is harness code,
     /// not attacker-reachable.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) {
-        self.tables
-            .get_mut(&table.to_ascii_lowercase())
-            .unwrap_or_else(|| panic!("no such table {table}"))
-            .push_row(row);
+        self.table_mut(table).unwrap_or_else(|| panic!("no such table {table}")).push_row(row);
     }
 
     /// Looks up a table by case-insensitive name.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
+        match lowercase(name) {
+            Some(lower) => self.tables.get(&lower),
+            None => self.tables.get(name),
+        }
+    }
+
+    pub(crate) fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        match lowercase(name) {
+            Some(lower) => self.tables.get_mut(&lower),
+            None => self.tables.get_mut(name),
+        }
     }
 
     /// Iterates all tables in name order — a deterministic dump order, so
@@ -136,6 +174,11 @@ impl Database {
     /// Number of statements executed so far.
     pub fn queries_executed(&self) -> u64 {
         self.queries_executed
+    }
+
+    /// Lookups and size of the statement-shape plan cache.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 
     /// Parses and executes one SQL statement.
@@ -167,23 +210,53 @@ impl Database {
     }
 
     fn execute_single(&mut self, sql: &str) -> Result<QueryResult, DbError> {
-        let stmt = parse(sql)?;
-        self.execute_parsed(&stmt)
+        self.with_plan(sql, |db, stmt, shape| db.run(stmt, Some(shape)))
     }
 
-    /// Executes an already-parsed statement (the prepared-statement path
-    /// after binding; see [`Database::execute_prepared`]).
+    /// Runs `f` on the cached plan of `sql`'s shape, its literals bound
+    /// to this text's: the database is lent to `f` while the cache is
+    /// set aside, so the plan needs no copy.
+    pub(crate) fn with_plan(
+        &mut self,
+        sql: &str,
+        f: impl FnOnce(&mut Database, &Statement, &Shape) -> Result<QueryResult, DbError>,
+    ) -> Result<QueryResult, DbError> {
+        let mut plans = std::mem::take(&mut self.plans);
+        let result = match plans.plan(self, sql) {
+            Ok((stmt, shape)) => f(self, stmt, shape),
+            Err(e) => Err(e),
+        };
+        self.plans = plans;
+        result
+    }
+
+    /// Executes an already-parsed statement.
     ///
     /// # Errors
     ///
     /// Returns [`DbError`] on execution error.
     pub fn execute_parsed(&mut self, stmt: &Statement) -> Result<QueryResult, DbError> {
+        self.run(stmt, None)
+    }
+
+    /// Executes `stmt`, taking its origins and column names from `shape`
+    /// when the statement came from the plan cache.
+    pub(crate) fn run(
+        &mut self,
+        stmt: &Statement,
+        shape: Option<&Shape>,
+    ) -> Result<QueryResult, DbError> {
         self.queries_executed += 1;
-        let mut side = SideEffects { sleep_ms: 0, rand_state: self.queries_executed };
+        let mut side =
+            SideEffects { sleep_ms: 0, rand_state: self.queries_executed, rows_visited: 0 };
         let result = match stmt {
             Statement::Select(sel) => {
-                let (columns, rows) = crate::exec::run_select(self, sel, &mut side)?;
-                let origins = crate::origins::select_origins(self, sel);
+                let names = shape.and_then(|s| s.names.as_deref());
+                let (columns, rows) = crate::exec::run_select(self, sel, &mut side, names)?;
+                let origins = match shape {
+                    Some(s) => s.origins.clone(),
+                    None => crate::origins::select_origins(self, sel),
+                };
                 QueryResult { columns, rows, affected: 0, elapsed_ms: 0, origins }
             }
             Statement::Insert(ins) => {
@@ -222,6 +295,12 @@ impl Database {
         self.clock_ms += elapsed;
         Ok(QueryResult { elapsed_ms: elapsed, ..result })
     }
+}
+
+/// `name` lowercased, or `None` when it has no uppercase letter to fold,
+/// so lookups of the usual lowercase names allocate nothing.
+fn lowercase(name: &str) -> Option<String> {
+    name.bytes().any(|b| b.is_ascii_uppercase()).then(|| name.to_ascii_lowercase())
 }
 
 /// Splits `sql` at top-level `;` separators, skipping string literals
@@ -398,6 +477,44 @@ mod tests {
         let mut db = sample_db();
         let err = db.execute("SELECT id, title FROM posts UNION SELECT id FROM users").unwrap_err();
         assert!(matches!(err, DbError::UnionColumnMismatch { left: 2, right: 1 }));
+    }
+
+    #[test]
+    fn union_arm_width_comes_from_the_schema_not_the_rows() {
+        let mut db = sample_db();
+        // An empty wildcard arm is as wide as its table: the classic
+        // column-count probe leaks one row of 4 columns.
+        let r = db.execute("SELECT * FROM posts WHERE id = -1 UNION SELECT 1, 2, 3, 'x'").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1), Value::Int(2), Value::Int(3), "x".into()]]);
+        // …and a narrower arm is the column-count error, rows or not.
+        let err = db.execute("SELECT * FROM posts WHERE id = -1 UNION SELECT 1").unwrap_err();
+        assert_eq!(err, DbError::UnionColumnMismatch { left: 4, right: 1 });
+        // A wildcard arm over an empty table counts the table's columns.
+        db.create_table("empty", &["a", "b"]);
+        let r = db.execute("SELECT id, title FROM posts UNION SELECT * FROM empty").unwrap();
+        assert_eq!(r.rows.len(), 3);
+        let r = db.execute("SELECT id, title FROM posts UNION SELECT e.* FROM empty e").unwrap();
+        assert_eq!(r.rows.len(), 3);
+        let err = db.execute("SELECT id FROM posts UNION SELECT * FROM empty").unwrap_err();
+        assert_eq!(err, DbError::UnionColumnMismatch { left: 1, right: 2 });
+    }
+
+    #[test]
+    fn late_projection_keeps_scan_order_side_effects() {
+        let mut db = sample_db();
+        // Pure projections are built only for the rows LIMIT keeps…
+        let r = db.execute("SELECT title, 'k' FROM posts ORDER BY id DESC LIMIT 1, 1").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Str("Draft".into()), Value::Str("k".into())]]);
+        assert_eq!(r.columns, ["title", "k"]);
+        // …but an impure one runs for every row, LIMIT or not.
+        let r = db.execute("SELECT SLEEP(1) FROM posts LIMIT 1").unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.elapsed_ms, 1 + 3 * 1000);
+        // An empty result still names its wildcards `*`.
+        let r = db.execute("SELECT *, id FROM posts WHERE id = -1 LIMIT 1").unwrap();
+        assert_eq!(r.columns, ["*", "id"]);
+        let r = db.execute("SELECT * FROM posts LIMIT 0").unwrap();
+        assert_eq!(r.columns, ["id", "title", "author_id", "status"]);
     }
 
     #[test]

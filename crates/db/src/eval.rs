@@ -78,6 +78,12 @@ impl<'a> Scope<'a> {
         slot
     }
 
+    /// Whether the scope resolves the column reference itself, without
+    /// an enclosing query.
+    pub fn resolves(&self, c: &ColumnRef) -> bool {
+        self.slot(c).is_some()
+    }
+
     /// The values of a row in projection order: every column of every
     /// source `keep` accepts, NULLs for a null-extended source.
     pub fn row_values(
@@ -238,7 +244,8 @@ pub(crate) fn eval<'a>(
         }
         Expr::InSubquery { expr, subquery, negated } => {
             let v = eval(ctx, side, expr)?;
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, subquery, side, Some(&ctx))?;
+            let (_, rows) =
+                crate::exec::run_select_with_outer(ctx.db, subquery, side, Some(&ctx), None)?;
             let found =
                 rows.iter().any(|r| r.first().is_some_and(|cell| v.sql_eq(cell) == Some(true)));
             Value::from(found != *negated)
@@ -261,11 +268,13 @@ pub(crate) fn eval<'a>(
             Value::from(hit != *negated)
         }
         Expr::Subquery(sub) => {
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
+            let (_, rows) =
+                crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx), None)?;
             rows.into_iter().next().and_then(|r| r.into_iter().next()).unwrap_or(Value::Null)
         }
         Expr::Exists(sub) => {
-            let (_, rows) = crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx))?;
+            let (_, rows) =
+                crate::exec::run_select_with_outer(ctx.db, sub, side, Some(&ctx), None)?;
             Value::from(!rows.is_empty())
         }
         Expr::Case { operand, branches, else_arm } => {

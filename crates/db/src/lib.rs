@@ -40,9 +40,11 @@ mod engine;
 mod eval;
 mod exec;
 mod origins;
+mod plan;
 mod prepared;
 mod table;
 
-pub use engine::{Database, DbError, QueryResult};
+pub use engine::{Database, DbError, QueryResult, ROW_BUDGET};
 pub use joza_sqlparse::Value;
+pub use plan::{PlanCacheStats, PLAN_CACHE_CAPACITY, PLAN_GENERATION};
 pub use table::Table;

@@ -1,6 +1,7 @@
 //! Property-based tests for the in-memory MySQL-subset engine.
 
-use joza_db::{Database, Value};
+use joza_db::{Database, DbError, QueryResult, Value, PLAN_CACHE_CAPACITY};
+use joza_sqlparse::parser::{parse, MAX_NESTING_DEPTH};
 use proptest::prelude::*;
 
 fn db_with(rows: &[(i64, &str)]) -> Database {
@@ -10,6 +11,203 @@ fn db_with(rows: &[(i64, &str)]) -> Database {
         db.insert_row("t", vec![Value::Int(*id), (*name).into()]);
     }
     db
+}
+
+/// Every statement shape the WordPress crawl and its comment posts
+/// issue, `{}` marking each literal.
+const WP_SHAPES: &[&str] = &[
+    "SELECT option_value FROM wp_options WHERE option_name = {} LIMIT {}",
+    "SELECT COUNT(*) FROM wp_comments WHERE comment_post_ID = {}",
+    "SELECT term_id, name FROM wp_terms WHERE {} ORDER BY name ASC LIMIT {}",
+    "SELECT * FROM wp_posts WHERE ID = {} LIMIT {}",
+    "SELECT user_login FROM wp_users WHERE ID = {} LIMIT {}",
+    "SELECT post_author, COUNT(*) FROM wp_posts WHERE post_status = {} GROUP BY post_author",
+    "SELECT meta_key, meta_value FROM wp_postmeta WHERE post_id = {}",
+    "SELECT comment_author, comment_content FROM wp_comments WHERE comment_approved = {} \
+     ORDER BY comment_ID DESC LIMIT {}",
+    "SELECT comment_author, comment_content FROM wp_comments WHERE comment_approved = {} \
+     AND comment_post_ID = {} ORDER BY comment_ID ASC",
+    "SELECT ID, post_title FROM wp_posts WHERE post_status = {} ORDER BY post_date DESC LIMIT {}",
+    "SELECT ID, post_title FROM wp_posts WHERE post_status = {} AND ID > {} ORDER BY ID ASC \
+     LIMIT {}",
+    "SELECT ID, post_title FROM wp_posts WHERE post_status = {} AND ID < {} ORDER BY ID DESC \
+     LIMIT {}",
+    "SELECT COUNT(*) FROM wp_posts WHERE post_status = {}",
+    "SELECT ID FROM wp_posts WHERE ID = {} AND post_status = {} LIMIT {}",
+    "UPDATE wp_posts SET comment_count = {} WHERE ID = {}",
+    "SELECT comment_ID FROM wp_comments WHERE comment_author = {} AND comment_content = {} \
+     LIMIT {}",
+    "SELECT COUNT(*) FROM wp_comments WHERE comment_post_ID = {} AND comment_content = {}",
+    "INSERT INTO wp_comments (comment_post_ID, comment_author, comment_content, \
+     comment_approved) VALUES ({}, {}, {}, {})",
+    "SELECT ID, post_title FROM wp_posts WHERE post_status = {} AND (post_title LIKE {} \
+     OR post_content LIKE {}) ORDER BY post_date DESC",
+    "SELECT ID, post_title, post_content, post_author, post_date FROM wp_posts \
+     WHERE post_status = {} ORDER BY post_date DESC LIMIT {}",
+];
+
+/// A small database with the WordPress tables the shapes read.
+fn wp_db() -> Database {
+    let mut db = Database::new();
+    db.create_table("wp_options", &["option_name", "option_value"]);
+    for (name, value) in [("siteurl", "http://localhost/wp"), ("blogname", "Blog"), ("x", "1")] {
+        db.insert_row("wp_options", vec![name.into(), value.into()]);
+    }
+    db.create_table(
+        "wp_posts",
+        &["ID", "post_title", "post_content", "post_author", "post_date", "post_status"],
+    );
+    for i in 1..=6i64 {
+        let status = if i % 3 == 0 { "draft" } else { "publish" };
+        db.insert_row(
+            "wp_posts",
+            vec![
+                Value::Int(i),
+                format!("Post {i}").into(),
+                format!("it's -- post {i}").into(),
+                Value::Int(i % 2 + 1),
+                format!("2014-1{}-0{} 10:00:00", i % 3, 9 - i).into(),
+                status.into(),
+            ],
+        );
+    }
+    db.create_table("wp_users", &["ID", "user_login", "user_pass"]);
+    db.insert_row("wp_users", vec![Value::Int(1), "admin".into(), "p4ss".into()]);
+    db.insert_row("wp_users", vec![Value::Int(2), "bob".into(), Value::Null]);
+    db.create_table("wp_terms", &["term_id", "name"]);
+    for (i, name) in ["news", "Misc", "10"].into_iter().enumerate() {
+        db.insert_row("wp_terms", vec![Value::Int(i as i64), name.into()]);
+    }
+    db.create_table("wp_postmeta", &["post_id", "meta_key", "meta_value"]);
+    db.insert_row("wp_postmeta", vec![Value::Int(1), "views".into(), Value::Float(2.5)]);
+    db.create_table(
+        "wp_comments",
+        &["comment_ID", "comment_post_ID", "comment_author", "comment_content", "comment_approved"],
+    );
+    for i in 1..=4i64 {
+        db.insert_row(
+            "wp_comments",
+            vec![
+                Value::Int(i),
+                Value::Int(i % 2 + 1),
+                format!("a{i}").into(),
+                "c'\\x".into(),
+                (if i == 3 { "0" } else { "1" }).into(),
+            ],
+        );
+    }
+    db
+}
+
+/// SQL text for one literal: integers small, negative and past `i64`,
+/// floats, hex, and strings with quotes, backslashes, comment markers,
+/// `LIKE` wildcards, or nothing at all.
+fn literal(kind: u8, n: i64, text: &str) -> String {
+    match kind {
+        0 => (n.rem_euclid(8)).to_string(),
+        1 => format!("-{}", n.rem_euclid(1000)),
+        2 => format!("{}0", n.unsigned_abs()),
+        3 => format!("{}.{}", n.rem_euclid(10), n.rem_euclid(97)),
+        4 => format!("{}e{}", n.rem_euclid(9), n.rem_euclid(400)),
+        5 => format!("0x{:x}", n.rem_euclid(0x7f7f) + 0x2020),
+        6 => format!("'{}'", text.replace('\\', "\\\\").replace('\'', "''")),
+        7 => format!("'{}'", text.replace('\\', "\\\\").replace('\'', "\\'")),
+        8 => format!("'-- {}#'", text.replace(['\\', '\''], "")),
+        9 => "''".to_string(),
+        _ => format!("'publish{}'", if n % 2 == 0 { "" } else { "%" }),
+    }
+}
+
+fn render(shape: &str, literals: &[String]) -> String {
+    let mut sql = String::new();
+    let mut parts = shape.split("{}");
+    sql.push_str(parts.next().unwrap_or_default());
+    for (part, lit) in parts.zip(literals.iter().cycle()) {
+        sql.push_str(lit);
+        sql.push_str(part);
+    }
+    sql
+}
+
+/// The statement executed without the plan cache: parsed from scratch.
+fn cold(db: &mut Database, sql: &str) -> Result<QueryResult, DbError> {
+    db.execute_parsed(&parse(sql)?)
+}
+
+/// Asserts two databases observably equal: clock, statement count and
+/// every table.
+fn assert_same_state(warm: &Database, cold: &Database) {
+    assert_eq!(warm.clock_ms(), cold.clock_ms());
+    assert_eq!(warm.queries_executed(), cold.queries_executed());
+    assert!(warm.tables().eq(cold.tables()), "table dumps differ");
+}
+
+proptest! {
+    /// A statement bound into a cached plan behaves exactly as the same
+    /// text parsed from scratch: result or error, virtual clock, tables.
+    /// Each generated statement runs twice, with fresh literals of the
+    /// same kinds the second time, so the second run is a cache hit.
+    #[test]
+    fn cached_plans_match_a_cold_parse(
+        shapes in proptest::collection::vec(0usize..WP_SHAPES.len(), 1..16),
+        kinds in proptest::collection::vec(0u8..11, 64..65),
+        nums in proptest::collection::vec(any::<i64>(), 128..129),
+        texts in proptest::collection::vec("[a-z'\"\\\\ %_-]{0,10}", 128..129),
+    ) {
+        let (mut warm, mut cold_db) = (wp_db(), wp_db());
+        for (i, shape) in shapes.iter().enumerate() {
+            for fresh in [0, 64] {
+                let lits: Vec<String> = (4 * i..4 * i + 4)
+                    .map(|j| literal(kinds[j], nums[j + fresh], &texts[j + fresh]))
+                    .collect();
+                let sql = render(WP_SHAPES[*shape], &lits);
+                let hits = warm.plan_cache_stats().hits;
+                let (w, c) = (warm.execute(&sql), cold(&mut cold_db, &sql));
+                prop_assert_eq!(format!("{w:?}"), format!("{c:?}"), "{}", sql);
+                assert_same_state(&warm, &cold_db);
+                if fresh > 0 && !matches!(w, Err(DbError::Parse(_))) {
+                    prop_assert_eq!(warm.plan_cache_stats().hits, hits + 1, "{}", sql);
+                }
+            }
+        }
+    }
+
+    /// A shape nested past the limit is never cached: every execution
+    /// returns the parser's own error.
+    #[test]
+    fn over_deep_statements_keep_their_parse_error(n in 0i64..1000, extra in 1usize..8) {
+        let depth = MAX_NESTING_DEPTH + extra;
+        let sql = format!(
+            "SELECT * FROM wp_posts WHERE {}ID = {n}{}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let mut db = wp_db();
+        let expected = parse(&sql).unwrap_err();
+        for _ in 0..2 {
+            prop_assert_eq!(db.execute(&sql).unwrap_err(), DbError::Parse(expected.clone()));
+        }
+        prop_assert_eq!(db.plan_cache_stats().entries, 0);
+        prop_assert_eq!(db.queries_executed(), 0);
+    }
+}
+
+/// However many shapes a stream brings, the cache holds at most its
+/// capacity.
+#[test]
+fn plan_cache_stays_within_its_capacity() {
+    let mut db = wp_db();
+    for i in 0..10_000 {
+        db.execute(&format!("SELECT ID AS c{i} FROM wp_posts WHERE ID = {i}")).unwrap();
+        assert!(db.plan_cache_stats().entries <= PLAN_CACHE_CAPACITY);
+    }
+    let stats = db.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 10_000));
+    // Recent shapes are still cached; creating a table drops them all.
+    db.execute("SELECT ID AS c9999 FROM wp_posts WHERE ID = 1").unwrap();
+    assert_eq!(db.plan_cache_stats().hits, 1);
+    db.create_table("t", &["a"]);
+    assert_eq!(db.plan_cache_stats().entries, 0);
 }
 
 proptest! {

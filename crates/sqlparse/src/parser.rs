@@ -63,15 +63,11 @@ pub fn parse(source: &str) -> Result<Statement, ParseError> {
     // Reject unterminated string literals: the lexer is total, but real
     // MySQL errors out, and execution must not accept them.
     for t in &tokens {
-        if t.kind == TokenKind::StringLit {
-            let text = t.text(source);
-            let quote = text.as_bytes()[0];
-            if text.len() < 2 || text.as_bytes()[text.len() - 1] != quote {
-                return Err(ParseError {
-                    offset: t.start,
-                    message: "unterminated string literal".into(),
-                });
-            }
+        if t.kind == TokenKind::StringLit && !is_terminated(t.text(source)) {
+            return Err(ParseError {
+                offset: t.start,
+                message: "unterminated string literal".into(),
+            });
         }
         if t.kind == TokenKind::Unknown {
             return Err(ParseError {
@@ -678,11 +674,12 @@ impl<'a> Parser<'a> {
     fn literal(&mut self, t: Token) -> PResult<Expr> {
         let text = t.text(self.src);
         let e = match t.kind {
-            TokenKind::Number => Expr::Literal(parse_number(text)),
-            TokenKind::StringLit => Expr::Literal(Value::Str(unescape_string(text))),
             TokenKind::Placeholder => Expr::Placeholder(text.to_string()),
             TokenKind::Variable => Expr::Variable(text.to_string()),
-            _ => return Err(self.err_at(t, format!("unexpected token {}", t.kind))),
+            _ => match literal_value(t, self.src) {
+                Some(v) => Expr::Literal(v),
+                None => return Err(self.err_at(t, format!("unexpected token {}", t.kind))),
+            },
         };
         self.pos += 1;
         Ok(e)
@@ -828,6 +825,26 @@ fn select_depth(s: &SelectStatement) -> usize {
         .chain(s.limit.iter().flat_map(|l| l.offset.iter().chain([&l.count])));
     let own = deepest(exprs);
     s.set_ops.iter().map(|(_, arm)| select_depth(arm)).fold(own, usize::max)
+}
+
+/// The value [`parse`] puts in the tree for a literal token: a `Number`
+/// or a terminated `StringLit`. `None` for any other token, an
+/// unterminated string included. Callers that bind a statement's
+/// literals without re-parsing it (the database's plan cache) convert
+/// through this, so bound and parsed values cannot differ.
+pub fn literal_value(token: Token, source: &str) -> Option<Value> {
+    let text = token.text(source);
+    match token.kind {
+        TokenKind::Number => Some(parse_number(text)),
+        TokenKind::StringLit if is_terminated(text) => Some(Value::Str(unescape_string(text))),
+        _ => None,
+    }
+}
+
+/// Whether a string-literal lexeme ends with its opening quote.
+fn is_terminated(quoted: &str) -> bool {
+    let b = quoted.as_bytes();
+    b.len() >= 2 && b[b.len() - 1] == b[0]
 }
 
 fn parse_number(text: &str) -> Value {

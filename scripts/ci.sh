@@ -40,13 +40,16 @@ cargo test -q --test alloc_free
 # Database executor, explicitly: every statement the testbed issues must
 # replay bit-identical to the golden recording (rows, columns, errors,
 # virtual time, table dumps); statements nested past the parser's limit
-# must come back as parse errors instead of aborting; and a statement's
-# heap allocations must not grow with the rows it scans.
-echo "==> db golden differential, nesting limit, allocation bound"
+# must come back as parse errors instead of aborting, and multiplying
+# subqueries must stop at the row budget; a statement's heap allocations
+# must not grow with the rows it scans; and a statement bound into a
+# cached plan must behave exactly as a fresh parse of its text.
+echo "==> db golden differential, nesting limit, allocation bound, plan cache"
 cargo test -q -p joza-lab --test db_golden
 cargo test -q -p joza-sqlparse --lib nesting
 cargo test -q -p joza-db --test depth_limit
 cargo test -q -p joza-db --test alloc_bound
+cargo test -q -p joza-db --test proptests
 
 # NTI stage, explicitly: every (inputs, query) pair the testbed issues
 # must produce the golden recording's markings and critical tokens (and
